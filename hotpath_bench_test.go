@@ -82,18 +82,21 @@ func BenchmarkDenseForwardBackward(b *testing.B) {
 	}
 }
 
-// benchWrapper builds a pretrained UQ-gated wrapper over a cheap
+// benchWrapper builds a pretrained 1-shard UQ-gated wrapper over a cheap
 // analytic oracle for the serving benchmarks.
-func benchWrapper(b *testing.B) *core.Wrapper {
+func benchWrapper(b *testing.B) *core.ShardedWrapper {
 	b.Helper()
 	rng := xrand.New(0x5e4e)
 	oracle := core.OracleFunc{In: 2, Out: 1, F: func(x []float64) ([]float64, error) {
 		return []float64{math.Sin(x[0]) + 0.5*x[1]}, nil
 	}}
-	sur := core.NewNNSurrogate(2, 1, []int{24}, 0.1, rng)
-	sur.Epochs = 100
-	sur.MCPasses = 10
-	w := core.NewWrapper(oracle, sur, core.WrapperConfig{MinTrainSamples: 10, UQThreshold: 10})
+	factory := core.NewNNSurrogateFactory(2, 1, []int{24}, 0.1, rng, func(s *core.NNSurrogate) {
+		s.Epochs = 100
+		s.MCPasses = 10
+	})
+	w := core.NewShardedWrapper(oracle, factory, core.ShardedConfig{
+		Shards: 1, MinTrainSamples: 10, UQThreshold: 10,
+	})
 	design := tensor.NewMatrix(100, 2)
 	for i := 0; i < 100; i++ {
 		design.Set(i, 0, rng.Range(-2, 2))
@@ -286,11 +289,12 @@ func BenchmarkQuantizedQueryBatch(b *testing.B) {
 	oracle := core.OracleFunc{In: 2, Out: 1, F: func(x []float64) ([]float64, error) {
 		return []float64{math.Sin(x[0]) + 0.5*x[1]}, nil
 	}}
-	sur := core.NewNNSurrogate(2, 1, []int{24}, 0.1, rng)
-	sur.Epochs = 100
-	sur.MCPasses = 10
-	w := core.NewWrapper(oracle, sur, core.WrapperConfig{
-		MinTrainSamples: 10, UQThreshold: 10, Quantized: true,
+	factory := core.NewNNSurrogateFactory(2, 1, []int{24}, 0.1, rng, func(s *core.NNSurrogate) {
+		s.Epochs = 100
+		s.MCPasses = 10
+	})
+	w := core.NewShardedWrapper(oracle, factory, core.ShardedConfig{
+		Shards: 1, MinTrainSamples: 10, UQThreshold: 10, Quantized: true,
 	})
 	design := tensor.NewMatrix(100, 2)
 	for i := 0; i < 100; i++ {
@@ -495,19 +499,12 @@ func BenchmarkCoalescedQPS(b *testing.B) {
 }
 
 // BenchmarkQueryDuringRetrain measures single-query serving latency
-// (p50/p99) with and without a continuous background refit, on both
-// serving architectures:
-//
-//   - sharded/idle, sharded/retrain: the double-buffered ShardedWrapper —
-//     refits train a fresh model off to the side and publish by pointer
-//     swap, so the retrain percentiles should stay within ~2× of idle.
-//   - locked/retrain: the classic single-lock Wrapper with inline refits —
-//     readers block behind the write lock for entire trainings, which is
-//     the stall this PR removes (p99 ≈ full refit duration).
+// (p50/p99) on the double-buffered ShardedWrapper with and without a
+// continuous background refit (sharded/idle, sharded/retrain): refits
+// train a fresh model off to the side and publish by pointer swap, so the
+// retrain percentiles should stay within ~2× of idle.
 func BenchmarkQueryDuringRetrain(b *testing.B) {
-	run := func(b *testing.B, w interface {
-		Query(x []float64) ([]float64, core.Source, []float64, error)
-	}, x []float64) {
+	run := func(b *testing.B, w *core.ShardedWrapper, x []float64) {
 		lats := make([]time.Duration, 0, b.N)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -549,33 +546,6 @@ func BenchmarkQueryDuringRetrain(b *testing.B) {
 		close(stop)
 		<-done
 	})
-	b.Run("locked/retrain", func(b *testing.B) {
-		// Classic wrapper: refits hold the write lock for the whole
-		// training run, so every reader blocks behind them. A background
-		// goroutine keeps a refit in flight (Pretrain with an empty
-		// design refits on the existing 128-sample set), which is the
-		// pre-sharding behaviour of any wrapper with RetrainEvery set.
-		wLocked := benchWrapper(b)
-		stop := make(chan struct{})
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-					if err := wLocked.Pretrain(tensor.NewMatrix(0, 2)); err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			}
-		}()
-		run(b, wLocked, inGate)
-		close(stop)
-		<-done
-	})
 }
 
 // BenchmarkOracleFanout measures QueryBatch when every row must fall back
@@ -598,9 +568,9 @@ func BenchmarkOracleFanout(b *testing.B) {
 				return []float64{x[0] + x[1]}, nil
 			}}
 			// Untrained surrogate: every row misses and runs the oracle.
-			sur := core.NewNNSurrogate(2, 1, []int{8}, 0.1, rng)
-			w := core.NewWrapper(oracle, sur, core.WrapperConfig{
-				MinTrainSamples: 1 << 30, UQThreshold: 0.5, OracleWorkers: workers,
+			factory := core.NewNNSurrogateFactory(2, 1, []int{8}, 0.1, rng, nil)
+			w := core.NewShardedWrapper(oracle, factory, core.ShardedConfig{
+				Shards: 1, MinTrainSamples: 1 << 30, UQThreshold: 0.5, OracleWorkers: workers,
 			})
 			batch := benchBatch(32)
 			b.ResetTimer()

@@ -12,7 +12,7 @@ import (
 // brownoutWrapper builds a pretrained stochastic wrapper (dropout > 0 so
 // UQ gating is live) over a call-counting oracle, with Quantized off so
 // the ladder's prefer-quant rung is observable as a behavior change.
-func brownoutWrapper(t testing.TB, uqThreshold float64) (*Wrapper, *NNSurrogate, *atomic.Int64) {
+func brownoutWrapper(t testing.TB, shards int, uqThreshold float64) (*ShardedWrapper, *atomic.Int64) {
 	t.Helper()
 	rng := xrand.New(0xB0B0)
 	var oracleCalls atomic.Int64
@@ -20,13 +20,14 @@ func brownoutWrapper(t testing.TB, uqThreshold float64) (*Wrapper, *NNSurrogate,
 		oracleCalls.Add(1)
 		return []float64{math.Sin(x[0]) + 0.5*x[1]}, nil
 	}}
-	sur := NewNNSurrogate(2, 1, []int{16}, 0.3, rng)
-	sur.Epochs = 50
-	sur.MCPasses = 8
-	w := NewWrapper(oracle, sur, WrapperConfig{
-		MinTrainSamples: 10, UQThreshold: uqThreshold,
+	factory := NewNNSurrogateFactory(2, 1, []int{16}, 0.3, rng, func(s *NNSurrogate) {
+		s.Epochs = 50
+		s.MCPasses = 8
 	})
-	design := tensor.NewMatrix(40, 2)
+	w := NewShardedWrapper(oracle, factory, ShardedConfig{
+		Shards: shards, MinTrainSamples: 10, UQThreshold: uqThreshold,
+	})
+	design := tensor.NewMatrix(40*shards, 2)
 	for i := 0; i < design.Rows; i++ {
 		design.Set(i, 0, rng.Range(-1, 1))
 		design.Set(i, 1, rng.Range(-1, 1))
@@ -34,12 +35,27 @@ func brownoutWrapper(t testing.TB, uqThreshold float64) (*Wrapper, *NNSurrogate,
 	if err := w.Pretrain(design); err != nil {
 		t.Fatal(err)
 	}
+	if !allPublished(w) {
+		t.Fatal("pretrain left a shard without a model")
+	}
 	oracleCalls.Store(0) // pretraining's oracle sweeps don't count
-	return w, sur, &oracleCalls
+	return w, &oracleCalls
+}
+
+// wantPasses fails unless every shard's published model runs n MC
+// passes.
+func wantPasses(t *testing.T, w *ShardedWrapper, n int, what string) {
+	t.Helper()
+	for i, s := range w.shards {
+		if got := (*s.active.Load()).(*NNSurrogate).passes(); got != n {
+			t.Fatalf("%s: shard %d passes = %d, want %d", what, i, got, n)
+		}
+	}
 }
 
 func TestBrownoutLadderMCPassCap(t *testing.T) {
-	_, sur, _ := brownoutWrapper(t, 100)
+	w, _ := brownoutWrapper(t, 1, 100)
+	sur := (*w.shards[0].active.Load()).(*NNSurrogate)
 	if got := sur.passes(); got != 8 {
 		t.Fatalf("uncapped passes = %d, want MCPasses 8", got)
 	}
@@ -67,7 +83,11 @@ func TestBrownoutLadderMCPassCap(t *testing.T) {
 // BrownoutNoUQ (single pass → std identically 0) keeps every answer on
 // the surrogate and the oracle cold.
 func TestBrownoutNoUQServesEverything(t *testing.T) {
-	w, _, oracleCalls := brownoutWrapper(t, 1e-12)
+	forEachShards(t, testBrownoutNoUQServesEverything)
+}
+
+func testBrownoutNoUQServesEverything(t *testing.T, shards int) {
+	w, oracleCalls := brownoutWrapper(t, shards, 1e-12)
 	rng := xrand.New(0x77)
 	x := func() []float64 { return []float64{rng.Range(-1, 1), rng.Range(-1, 1)} }
 
@@ -111,24 +131,32 @@ func TestBrownoutNoUQServesEverything(t *testing.T) {
 	if oracleCalls.Load() == before {
 		t.Fatal("oracle fallback did not resume after brownout lifted")
 	}
+	mustWait(t, w)
 }
 
 // TestBrownoutPreferQuant asserts the first rung: a wrapper configured
 // with Quantized off but holding a compiled quantized program starts
 // serving through it at BrownoutPreferQuant.
 func TestBrownoutPreferQuant(t *testing.T) {
-	// Deterministic surrogate with a compiled quantized program, but the
+	forEachShards(t, testBrownoutPreferQuant)
+}
+
+func testBrownoutPreferQuant(t *testing.T, shards int) {
+	// Deterministic surrogates with a compiled quantized program, but the
 	// wrapper prefers the float path (Quantized false).
 	rng := xrand.New(0x9a27)
 	oracle := OracleFunc{In: 2, Out: 1, F: func(x []float64) ([]float64, error) {
 		return []float64{math.Sin(x[0]) + 0.5*x[1]}, nil
 	}}
-	sur := NewNNSurrogate(2, 1, []int{16}, 0, rng)
-	sur.Epochs = 50
-	sur.MCPasses = 8
-	sur.Quantize = true // compile the int8 program even though the wrapper prefers float
-	w := NewWrapper(oracle, sur, WrapperConfig{MinTrainSamples: 10, UQThreshold: 100})
-	design := tensor.NewMatrix(40, 2)
+	factory := NewNNSurrogateFactory(2, 1, []int{16}, 0, rng, func(s *NNSurrogate) {
+		s.Epochs = 50
+		s.MCPasses = 8
+		s.Quantize = true // compile the int8 program even though the wrapper prefers float
+	})
+	w := NewShardedWrapper(oracle, factory, ShardedConfig{
+		Shards: shards, MinTrainSamples: 10, UQThreshold: 100,
+	})
+	design := tensor.NewMatrix(40*shards, 2)
 	for i := 0; i < design.Rows; i++ {
 		design.Set(i, 0, rng.Range(-1, 1))
 		design.Set(i, 1, rng.Range(-1, 1))
@@ -136,11 +164,11 @@ func TestBrownoutPreferQuant(t *testing.T) {
 	if err := w.Pretrain(design); err != nil {
 		t.Fatal(err)
 	}
-	if !sur.QuantizedReady() {
+	x := []float64{0.25, -0.5}
+	if !servingModel(w, x).QuantizedReady() {
 		t.Fatal("quantized program not compiled on Pretrain")
 	}
 
-	x := []float64{0.25, -0.5}
 	if _, _, _, err := w.Query(x); err != nil {
 		t.Fatal(err)
 	}
@@ -161,21 +189,19 @@ func TestBrownoutPreferQuant(t *testing.T) {
 
 // TestBrownoutClamps asserts out-of-range levels clamp to the ladder.
 func TestBrownoutClamps(t *testing.T) {
-	w, sur, _ := brownoutWrapper(t, 100)
-	w.SetBrownoutLevel(99)
-	if w.BrownoutLevel() != BrownoutNoUQ {
-		t.Fatalf("level 99 clamped to %d, want %d", w.BrownoutLevel(), BrownoutNoUQ)
-	}
-	if got := sur.passes(); got != 1 {
-		t.Fatalf("passes at clamped bottom = %d, want 1", got)
-	}
-	w.SetBrownoutLevel(-5)
-	if w.BrownoutLevel() != BrownoutOff {
-		t.Fatalf("level -5 clamped to %d, want 0", w.BrownoutLevel())
-	}
-	if got := sur.passes(); got != 8 {
-		t.Fatalf("passes after clearing = %d, want 8", got)
-	}
+	forEachShards(t, func(t *testing.T, shards int) {
+		w, _ := brownoutWrapper(t, shards, 100)
+		w.SetBrownoutLevel(99)
+		if w.BrownoutLevel() != BrownoutNoUQ {
+			t.Fatalf("level 99 clamped to %d, want %d", w.BrownoutLevel(), BrownoutNoUQ)
+		}
+		wantPasses(t, w, 1, "clamped bottom")
+		w.SetBrownoutLevel(-5)
+		if w.BrownoutLevel() != BrownoutOff {
+			t.Fatalf("level -5 clamped to %d, want 0", w.BrownoutLevel())
+		}
+		wantPasses(t, w, 8, "after clearing")
+	})
 }
 
 // TestShardedBrownoutPropagates asserts the sharded wrapper pushes the
@@ -186,13 +212,13 @@ func TestShardedBrownoutPropagates(t *testing.T) {
 	oracle := OracleFunc{In: 2, Out: 1, F: func(x []float64) ([]float64, error) {
 		return []float64{x[0] + x[1]}, nil
 	}}
-	frng := xrand.New(100)
-	factory := func() Surrogate {
-		s := NewNNSurrogate(2, 1, []int{8}, 0.3, frng.Split())
+	// TrainAll calls the factory from concurrent shard fits, so it must
+	// be safe for concurrent use: NewNNSurrogateFactory splits its rng
+	// under a lock.
+	factory := NewNNSurrogateFactory(2, 1, []int{8}, 0.3, xrand.New(100), func(s *NNSurrogate) {
 		s.Epochs = 30
 		s.MCPasses = 8
-		return s
-	}
+	})
 	sw := NewShardedWrapper(oracle, factory, ShardedConfig{
 		Shards: 2, MinTrainSamples: 8, UQThreshold: 100,
 	})
@@ -209,33 +235,14 @@ func TestShardedBrownoutPropagates(t *testing.T) {
 	if sw.BrownoutLevel() != BrownoutReducedMC {
 		t.Fatalf("level = %d, want %d", sw.BrownoutLevel(), BrownoutReducedMC)
 	}
-	for i, sh := range sw.shards {
-		sur := *sh.active.Load()
-		ns, ok := sur.(*NNSurrogate)
-		if !ok {
-			t.Fatalf("shard %d surrogate is %T", i, sur)
-		}
-		if got := ns.passes(); got != brownoutMCPasses {
-			t.Fatalf("shard %d passes = %d, want %d", i, got, brownoutMCPasses)
-		}
-	}
+	wantPasses(t, sw, brownoutMCPasses, "brownout")
 
 	// A retrain that publishes mid-brownout must come out already capped.
 	if err := sw.TrainAll(); err != nil {
 		t.Fatal(err)
 	}
-	for i, sh := range sw.shards {
-		ns := (*sh.active.Load()).(*NNSurrogate)
-		if got := ns.passes(); got != brownoutMCPasses {
-			t.Fatalf("shard %d republished uncapped: passes = %d, want %d", i, got, brownoutMCPasses)
-		}
-	}
+	wantPasses(t, sw, brownoutMCPasses, "republished mid-brownout")
 
 	sw.SetBrownoutLevel(BrownoutOff)
-	for i, sh := range sw.shards {
-		ns := (*sh.active.Load()).(*NNSurrogate)
-		if got := ns.passes(); got != 8 {
-			t.Fatalf("shard %d still capped after recovery: passes = %d", i, got)
-		}
-	}
+	wantPasses(t, sw, 8, "after recovery")
 }

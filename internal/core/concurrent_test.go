@@ -22,15 +22,16 @@ func (o *atomicOracle) Run(x []float64) ([]float64, error) {
 	return []float64{math.Sin(x[0]) + 0.5*x[1]}, nil
 }
 
-// pretrainedWrapper returns a wrapper whose surrogate has already fit the
-// toy oracle over the query region.
-func pretrainedWrapper(t *testing.T, rng *xrand.Rand, cfg WrapperConfig) (*Wrapper, *atomicOracle) {
+// pretrainedWrapper returns a wrapper whose shard surrogates have
+// already fit the toy oracle over the query region.
+func pretrainedWrapper(t *testing.T, rng *xrand.Rand, cfg ShardedConfig) (*ShardedWrapper, *atomicOracle) {
 	t.Helper()
 	oracle := &atomicOracle{}
-	sur := NewNNSurrogate(2, 1, []int{24}, 0.1, rng)
-	sur.Epochs = 120
-	sur.MCPasses = 10
-	w := NewWrapper(oracle, sur, cfg)
+	factory := NewNNSurrogateFactory(2, 1, []int{24}, 0.1, rng, func(s *NNSurrogate) {
+		s.Epochs = 120
+		s.MCPasses = 10
+	})
+	w := NewShardedWrapper(oracle, factory, cfg)
 	design := tensor.NewMatrix(120, 2)
 	for i := 0; i < 120; i++ {
 		design.Set(i, 0, rng.Range(-2, 2))
@@ -44,12 +45,16 @@ func pretrainedWrapper(t *testing.T, rng *xrand.Rand, cfg WrapperConfig) (*Wrapp
 
 // TestWrapperConcurrentQueries hammers Query and QueryBatch from many
 // goroutines while retraining is enabled, locking in the concurrency
-// contract: surrogate reads run in parallel under the read lock,
-// train/addSample take the write lock. Run with -race.
+// contract: lock-free surrogate reads run beside sample appends and
+// background refits. Run with -race.
 func TestWrapperConcurrentQueries(t *testing.T) {
+	forEachShards(t, testWrapperConcurrentQueries)
+}
+
+func testWrapperConcurrentQueries(t *testing.T, shards int) {
 	rng := xrand.New(404)
-	w, _ := pretrainedWrapper(t, rng, WrapperConfig{
-		MinTrainSamples: 10, RetrainEvery: 40, UQThreshold: 0.5,
+	w, _ := pretrainedWrapper(t, rng, ShardedConfig{
+		Shards: shards, MinTrainSamples: 10, RetrainEvery: 40, UQThreshold: 0.5,
 	})
 
 	const goroutines = 8
@@ -112,6 +117,7 @@ func TestWrapperConcurrentQueries(t *testing.T) {
 		}(uint64(500 + g))
 	}
 	wg.Wait()
+	mustWait(t, w)
 
 	if surrogateHits.Load() == 0 {
 		t.Fatal("no queries served by the surrogate under concurrency")
@@ -125,44 +131,27 @@ func TestWrapperConcurrentQueries(t *testing.T) {
 	}
 }
 
-// gateStub is a deterministic BatchSurrogate: rows with |x0| <= 2 pass
-// the UQ gate (std 0), others are rejected (std 1). It lets the batch
-// semantics test pin the wrapper's routing and accounting exactly.
-type gateStub struct{ trained bool }
-
-func (s *gateStub) Train(x, y *tensor.Matrix) error { s.trained = true; return nil }
-func (s *gateStub) Trained() bool                   { return s.trained }
-
-func (s *gateStub) Predict(x []float64) []float64 { return []float64{42} }
-
-func (s *gateStub) PredictWithUQ(x []float64) (mean, std []float64) {
-	sd := 0.0
-	if math.Abs(x[0]) > 2 {
-		sd = 1
-	}
-	return []float64{42}, []float64{sd}
-}
-
-func (s *gateStub) PredictBatchWithUQ(x *tensor.Matrix) (mean, std *tensor.Matrix) {
-	mean = tensor.NewMatrix(x.Rows, 1)
-	std = tensor.NewMatrix(x.Rows, 1)
-	for i := 0; i < x.Rows; i++ {
-		m, sd := s.PredictWithUQ(x.Row(i))
-		mean.Set(i, 0, m[0])
-		std.Set(i, 0, sd[0])
-	}
-	return mean, std
-}
-
-// TestQueryBatchMatchesQuerySemantics checks the batch path agrees with
-// the scalar path on provenance and training-set accounting.
-func TestQueryBatchMatchesQuerySemantics(t *testing.T) {
-	rng := xrand.New(405)
-	oracle := &atomicOracle{}
-	w := NewWrapper(oracle, &gateStub{trained: true}, WrapperConfig{
-		MinTrainSamples: 1, UQThreshold: 0.5,
+// warmGateStubs builds a wrapper whose every shard serves a
+// shardGateStub from the start, pinning routing and accounting exactly.
+func warmGateStubs(oracle Oracle, shards int) *ShardedWrapper {
+	w := NewShardedWrapper(oracle, func() Surrogate { return &shardGateStub{} }, ShardedConfig{
+		Shards: shards, MinTrainSamples: 1, UQThreshold: 0.5,
 	})
+	for si := 0; si < shards; si++ {
+		w.WarmStart(si, &shardGateStub{trained: true}, 0)
+	}
+	return w
+}
 
+// TestQueryBatchMatchesQuerySemantics checks the batch paths agree with
+// the scalar path on answers, provenance and training-set accounting:
+// Query ≡ QueryBatch ≡ QueryBatchInto.
+func TestQueryBatchMatchesQuerySemantics(t *testing.T) {
+	forEachShards(t, testQueryBatchMatchesQuerySemantics)
+}
+
+func testQueryBatchMatchesQuerySemantics(t *testing.T, shards int) {
+	rng := xrand.New(405)
 	batch := tensor.NewMatrix(16, 2)
 	for i := 0; i < 8; i++ { // in-gate rows served by the surrogate
 		batch.Set(i, 0, rng.Range(-1, 1))
@@ -172,70 +161,92 @@ func TestQueryBatchMatchesQuerySemantics(t *testing.T) {
 		batch.Set(i, 0, rng.Range(80, 100))
 		batch.Set(i, 1, rng.Range(80, 100))
 	}
-	res, err := w.QueryBatch(batch)
-	if err != nil {
-		t.Fatal(err)
+	into := make([]BatchResult, batch.Rows)
+	serve := map[string]func(w *ShardedWrapper) ([]BatchResult, error){
+		"Query": func(w *ShardedWrapper) ([]BatchResult, error) {
+			res := make([]BatchResult, batch.Rows)
+			for i := range res {
+				y, src, std, err := w.Query(batch.Row(i))
+				res[i] = BatchResult{Y: y, Src: src, Std: std, Err: err}
+			}
+			return res, nil
+		},
+		"QueryBatch": func(w *ShardedWrapper) ([]BatchResult, error) { return w.QueryBatch(batch) },
+		"QueryBatchInto": func(w *ShardedWrapper) ([]BatchResult, error) {
+			return into, w.QueryBatchInto(batch, into)
+		},
 	}
-	sim := 0
-	for i, r := range res {
-		if r.Err != nil {
-			t.Fatalf("row %d: %v", i, r.Err)
+	for name, query := range serve {
+		oracle := &atomicOracle{}
+		w := warmGateStubs(oracle, shards)
+		res, err := query(w)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-		switch r.Src {
-		case FromSurrogate:
-			if i >= 8 {
-				t.Fatalf("rejected row %d served by surrogate", i)
+		sim := 0
+		for i, r := range res {
+			if r.Err != nil {
+				t.Fatalf("%s row %d: %v", name, i, r.Err)
 			}
-			if len(r.Std) != 1 || r.Y[0] != 42 {
-				t.Fatalf("surrogate row %d bad answer %+v", i, r)
-			}
-		case FromSimulation:
-			sim++
-			if i < 8 {
-				t.Fatalf("in-gate row %d fell back to simulation", i)
-			}
-			truth := math.Sin(batch.At(i, 0)) + 0.5*batch.At(i, 1)
-			if math.Abs(r.Y[0]-truth) > 1e-12 {
-				t.Fatalf("simulated row %d altered: %g want %g", i, r.Y[0], truth)
+			switch r.Src {
+			case FromSurrogate:
+				if i >= 8 {
+					t.Fatalf("%s: rejected row %d served by surrogate", name, i)
+				}
+				if len(r.Std) != 1 || r.Y[0] != 42 {
+					t.Fatalf("%s: surrogate row %d bad answer %+v", name, i, r)
+				}
+			case FromSimulation:
+				sim++
+				if i < 8 {
+					t.Fatalf("%s: in-gate row %d fell back to simulation", name, i)
+				}
+				truth := math.Sin(batch.At(i, 0)) + 0.5*batch.At(i, 1)
+				if math.Abs(r.Y[0]-truth) > 1e-12 {
+					t.Fatalf("%s: simulated row %d altered: %g want %g", name, i, r.Y[0], truth)
+				}
 			}
 		}
-	}
-	if sim != 8 {
-		t.Fatalf("%d simulated rows want 8", sim)
-	}
-	if got := oracle.calls.Load(); got != 8 {
-		t.Fatalf("oracle ran %d times want 8", got)
-	}
-	if got := w.TrainingSetSize(); got != 8 {
-		t.Fatalf("training set grew by %d want 8", got)
-	}
-	led := w.Ledger()
-	if led.NLookup != 8 || led.NRejected != 8 || led.NTrain != 8 {
-		t.Fatalf("ledger accounting wrong: %+v", led)
+		if sim != 8 {
+			t.Fatalf("%s: %d simulated rows want 8", name, sim)
+		}
+		if got := oracle.calls.Load(); got != 8 {
+			t.Fatalf("%s: oracle ran %d times want 8", name, got)
+		}
+		if got := w.TrainingSetSize(); got != 8 {
+			t.Fatalf("%s: training set grew by %d want 8", name, got)
+		}
+		led := w.Ledger()
+		if led.NLookup != 8 || led.NRejected != 8 || led.NTrain != 8 {
+			t.Fatalf("%s: ledger accounting wrong: %+v", name, led)
+		}
+		mustWait(t, w)
 	}
 }
 
 // TestQueryBatchEmptyAndColdStart covers the degenerate paths.
 func TestQueryBatchEmptyAndColdStart(t *testing.T) {
-	rng := xrand.New(406)
-	oracle := &atomicOracle{}
-	sur := NewNNSurrogate(2, 1, []int{8}, 0.1, rng)
-	w := NewWrapper(oracle, sur, WrapperConfig{MinTrainSamples: 1000, UQThreshold: 0.5})
-
-	if res, err := w.QueryBatch(tensor.NewMatrix(0, 2)); err != nil || res != nil {
-		t.Fatalf("empty batch: %v %v", res, err)
-	}
-	batch := tensor.NewMatrix(4, 2)
-	res, err := w.QueryBatch(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range res {
-		if r.Src != FromSimulation || r.Err != nil {
-			t.Fatalf("cold-start row %d should simulate: %+v", i, r)
+	forEachShards(t, func(t *testing.T, shards int) {
+		oracle := &atomicOracle{}
+		factory := NewNNSurrogateFactory(2, 1, []int{8}, 0.1, xrand.New(406), nil)
+		w := NewShardedWrapper(oracle, factory, ShardedConfig{
+			Shards: shards, MinTrainSamples: 1000, UQThreshold: 0.5,
+		})
+		if res, err := w.QueryBatch(tensor.NewMatrix(0, 2)); err != nil || res != nil {
+			t.Fatalf("empty batch: %v %v", res, err)
 		}
-	}
-	if oracle.calls.Load() != 4 {
-		t.Fatalf("oracle calls %d want 4", oracle.calls.Load())
-	}
+		batch := tensor.NewMatrix(4, 2)
+		res, err := w.QueryBatch(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range res {
+			if r.Src != FromSimulation || r.Err != nil {
+				t.Fatalf("cold-start row %d should simulate: %+v", i, r)
+			}
+		}
+		if oracle.calls.Load() != 4 {
+			t.Fatalf("oracle calls %d want 4", oracle.calls.Load())
+		}
+	})
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -10,28 +11,77 @@ import (
 	"repro/internal/xrand"
 )
 
+// errSynthetic is the toy oracle's failure, matched through the
+// wrapper's error wrapping.
+var errSynthetic = errors.New("synthetic failure")
+
 // toyOracle is a cheap 2->1 analytic "simulation" with an optional
-// artificial failure region and call counting.
+// artificial failure region. It is stateless, so concurrent Runs (the
+// wrapper's oracle fan-out) are safe.
 type toyOracle struct {
-	calls    int
 	failWhen func(x []float64) bool
 }
 
 func (o *toyOracle) Dims() (int, int) { return 2, 1 }
 
 func (o *toyOracle) Run(x []float64) ([]float64, error) {
-	o.calls++
 	if o.failWhen != nil && o.failWhen(x) {
-		return nil, errors.New("synthetic failure")
+		return nil, errSynthetic
 	}
 	return []float64{math.Sin(x[0]) + 0.5*x[1]}, nil
 }
 
 func newTestSurrogate(rng *xrand.Rand) *NNSurrogate {
 	s := NewNNSurrogate(2, 1, []int{24}, 0.1, rng)
+	configureTestSurrogate(s)
+	return s
+}
+
+func configureTestSurrogate(s *NNSurrogate) {
 	s.Epochs = 150
 	s.MCPasses = 20
-	return s
+}
+
+// newTestFactory is newTestSurrogate as a SurrogateFactory.
+func newTestFactory(rng *xrand.Rand) SurrogateFactory {
+	return NewNNSurrogateFactory(2, 1, []int{24}, 0.1, rng, configureTestSurrogate)
+}
+
+// shardCounts are the partition widths every wrapper-contract test runs
+// over: one shard is the unsharded serving shape, four the default.
+var shardCounts = []int{1, 4}
+
+// forEachShards states a wrapper contract once and runs it as a subtest
+// per partition width.
+func forEachShards(t *testing.T, body func(t *testing.T, shards int)) {
+	t.Helper()
+	for _, n := range shardCounts {
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) { body(t, n) })
+	}
+}
+
+// servingModel returns the model shard-routing x currently publishes.
+func servingModel(w *ShardedWrapper, x []float64) *NNSurrogate {
+	return (*w.shards[w.Route(x)].active.Load()).(*NNSurrogate)
+}
+
+// allPublished reports whether every shard serves a model.
+func allPublished(w *ShardedWrapper) bool {
+	for _, s := range w.shards {
+		if s.active.Load() == nil {
+			return false
+		}
+	}
+	return true
+}
+
+// mustWait drains the wrapper's background refits, failing on a refit
+// error.
+func mustWait(t testing.TB, w *ShardedWrapper) {
+	t.Helper()
+	if err := w.Wait(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestOracleFuncAdapter(t *testing.T) {
@@ -124,120 +174,148 @@ func TestNNSurrogatePanicsUntrained(t *testing.T) {
 }
 
 func TestWrapperColdStartUsesSimulation(t *testing.T) {
-	rng := xrand.New(5)
-	oracle := &toyOracle{}
-	w := NewWrapper(oracle, newTestSurrogate(rng), WrapperConfig{MinTrainSamples: 10, UQThreshold: 0.05})
-	y, src, _, err := w.Query([]float64{0.3, 0.4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if src != FromSimulation {
-		t.Fatal("cold wrapper should simulate")
-	}
-	want := math.Sin(0.3) + 0.2
-	if math.Abs(y[0]-want) > 1e-12 {
-		t.Fatalf("wrapper altered simulation answer: %g want %g", y[0], want)
-	}
-	if w.TrainingSetSize() != 1 {
-		t.Fatalf("training set size %d want 1", w.TrainingSetSize())
-	}
+	forEachShards(t, func(t *testing.T, shards int) {
+		w := NewShardedWrapper(&toyOracle{}, newTestFactory(xrand.New(5)), ShardedConfig{
+			Shards: shards, MinTrainSamples: 10, UQThreshold: 0.05,
+		})
+		y, src, _, err := w.Query([]float64{0.3, 0.4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if src != FromSimulation {
+			t.Fatal("cold wrapper should simulate")
+		}
+		want := math.Sin(0.3) + 0.2
+		if math.Abs(y[0]-want) > 1e-12 {
+			t.Fatalf("wrapper altered simulation answer: %g want %g", y[0], want)
+		}
+		if w.TrainingSetSize() != 1 {
+			t.Fatalf("training set size %d want 1", w.TrainingSetSize())
+		}
+		mustWait(t, w)
+	})
 }
 
 func TestWrapperShiftsToSurrogate(t *testing.T) {
-	rng := xrand.New(6)
-	oracle := &toyOracle{}
-	w := NewWrapper(oracle, newTestSurrogate(rng), WrapperConfig{
-		MinTrainSamples: 60, RetrainEvery: 0, UQThreshold: 0.2,
+	forEachShards(t, func(t *testing.T, shards int) {
+		rng := xrand.New(6)
+		w := NewShardedWrapper(&toyOracle{}, newTestFactory(rng.Split()), ShardedConfig{
+			Shards: shards, MinTrainSamples: 60, RetrainEvery: 0, UQThreshold: 0.2,
+		})
+		// Warm-up: simulated queries until every shard's first fit (due
+		// at MinTrainSamples) has published.
+		for i := 0; !allPublished(w); i++ {
+			if i == 200*shards {
+				t.Fatalf("no full publish after %d warm-up queries: %+v", i, w.Status())
+			}
+			if _, _, _, err := w.Query([]float64{rng.Range(-2, 2), rng.Range(-1, 1)}); err != nil {
+				t.Fatal(err)
+			}
+			mustWait(t, w)
+		}
+		warm := w.Ledger()
+		surrogateHits := 0
+		for i := 0; i < 50; i++ {
+			_, src, _, err := w.Query([]float64{rng.Range(-2, 2), rng.Range(-1, 1)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if src == FromSurrogate {
+				surrogateHits++
+			}
+		}
+		mustWait(t, w)
+		if surrogateHits == 0 {
+			t.Fatal("wrapper never served from surrogate after training")
+		}
+		led := w.Ledger()
+		if n := led.NLookup - warm.NLookup; n != surrogateHits {
+			t.Fatalf("ledger lookups %d != observed %d", n, surrogateHits)
+		}
+		if led.NTrainingRuns < shards {
+			t.Fatalf("ledger recorded %d training runs, want >= %d", led.NTrainingRuns, shards)
+		}
+		if f := led.SurrogateFraction(); f <= 0 || f >= 1 {
+			t.Fatalf("surrogate fraction %g not in (0,1)", f)
+		}
 	})
-	// Warm-up: 60 simulated queries trigger the first fit.
-	for i := 0; i < 60; i++ {
-		if _, _, _, err := w.Query([]float64{rng.Range(-2, 2), rng.Range(-1, 1)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	surrogateHits := 0
-	for i := 0; i < 50; i++ {
-		_, src, _, err := w.Query([]float64{rng.Range(-2, 2), rng.Range(-1, 1)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if src == FromSurrogate {
-			surrogateHits++
-		}
-	}
-	if surrogateHits == 0 {
-		t.Fatal("wrapper never served from surrogate after training")
-	}
-	led := w.Ledger()
-	if led.NLookup != surrogateHits {
-		t.Fatalf("ledger lookups %d != observed %d", led.NLookup, surrogateHits)
-	}
-	if led.NTrainingRuns < 1 {
-		t.Fatal("ledger recorded no training runs")
-	}
-	if f := led.SurrogateFraction(); f <= 0 || f >= 1 {
-		t.Fatalf("surrogate fraction %g not in (0,1)", f)
-	}
 }
 
 func TestWrapperStrictGateAlwaysSimulates(t *testing.T) {
-	rng := xrand.New(7)
-	oracle := &toyOracle{}
-	w := NewWrapper(oracle, newTestSurrogate(rng), WrapperConfig{
-		MinTrainSamples: 30, UQThreshold: 0, // impossible gate
+	forEachShards(t, func(t *testing.T, shards int) {
+		rng := xrand.New(7)
+		w := NewShardedWrapper(&toyOracle{}, newTestFactory(rng.Split()), ShardedConfig{
+			Shards: shards, MinTrainSamples: 30, UQThreshold: 0, // impossible gate
+		})
+		for i := 0; i < 40*shards; i++ {
+			_, src, _, err := w.Query([]float64{rng.Range(-1, 1), rng.Range(-1, 1)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if src == FromSurrogate {
+				t.Fatal("zero-threshold gate must reject all surrogate answers")
+			}
+			mustWait(t, w)
+		}
+		if w.Ledger().NRejected == 0 {
+			t.Fatal("rejected lookups not recorded")
+		}
 	})
-	for i := 0; i < 40; i++ {
-		_, src, _, err := w.Query([]float64{rng.Range(-1, 1), rng.Range(-1, 1)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if src == FromSurrogate {
-			t.Fatal("zero-threshold gate must reject all surrogate answers")
-		}
-	}
-	if w.Ledger().NRejected == 0 {
-		t.Fatal("rejected lookups not recorded")
-	}
 }
 
 func TestWrapperPropagatesOracleError(t *testing.T) {
-	rng := xrand.New(8)
-	oracle := &toyOracle{failWhen: func(x []float64) bool { return x[0] > 0 }}
-	w := NewWrapper(oracle, newTestSurrogate(rng), WrapperConfig{MinTrainSamples: 100})
-	if _, _, _, err := w.Query([]float64{1, 0}); err == nil {
-		t.Fatal("oracle failure should propagate")
-	}
-	if w.Ledger().NFailed != 1 {
-		t.Fatal("failed run not recorded")
-	}
-	if w.TrainingSetSize() != 0 {
-		t.Fatal("failed run must not enter the training set")
-	}
+	forEachShards(t, func(t *testing.T, shards int) {
+		oracle := &toyOracle{failWhen: func(x []float64) bool { return x[0] > 0 }}
+		w := NewShardedWrapper(oracle, newTestFactory(xrand.New(8)), ShardedConfig{
+			Shards: shards, MinTrainSamples: 100,
+		})
+		if _, _, _, err := w.Query([]float64{1, 0}); !errors.Is(err, errSynthetic) {
+			t.Fatalf("Query error %v, want the oracle's %v", err, errSynthetic)
+		}
+		res, err := w.QueryBatch(tensor.FromRows([][]float64{{1, 0}, {-1, 0}}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !errors.Is(res[0].Err, errSynthetic) || res[1].Err != nil {
+			t.Fatalf("batch row errors %v, %v: want the oracle's on row 0 only", res[0].Err, res[1].Err)
+		}
+		if w.Ledger().NFailed != 2 {
+			t.Fatal("failed runs not recorded")
+		}
+		if w.TrainingSetSize() != 1 {
+			t.Fatal("failed runs must not enter the training set")
+		}
+		mustWait(t, w)
+	})
 }
 
 func TestWrapperPretrain(t *testing.T) {
-	rng := xrand.New(9)
-	oracle := &toyOracle{}
-	w := NewWrapper(oracle, newTestSurrogate(rng), WrapperConfig{UQThreshold: 0.3})
-	design := tensor.NewMatrix(80, 2)
-	for i := 0; i < 80; i++ {
-		design.Set(i, 0, rng.Range(-2, 2))
-		design.Set(i, 1, rng.Range(-1, 1))
-	}
-	if err := w.Pretrain(design); err != nil {
-		t.Fatal(err)
-	}
-	led := w.Ledger()
-	if led.NTrain != 80 || led.NTrainingRuns != 1 {
-		t.Fatalf("pretrain ledger: %+v", led)
-	}
-	_, src, std, err := w.Query([]float64{0.1, 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if src == FromSurrogate && (len(std) != 1 || std[0] <= 0) {
-		t.Fatal("surrogate answer missing UQ")
-	}
+	forEachShards(t, func(t *testing.T, shards int) {
+		rng := xrand.New(9)
+		w := NewShardedWrapper(&toyOracle{}, newTestFactory(rng.Split()), ShardedConfig{
+			Shards: shards, UQThreshold: 0.3,
+		})
+		design := tensor.NewMatrix(80, 2)
+		for i := 0; i < 80; i++ {
+			design.Set(i, 0, rng.Range(-2, 2))
+			design.Set(i, 1, rng.Range(-1, 1))
+		}
+		if err := w.Pretrain(design); err != nil {
+			t.Fatal(err)
+		}
+		led := w.Ledger()
+		if led.NTrain != 80 || led.NTrainingRuns != shards {
+			t.Fatalf("pretrain ledger: %+v", led)
+		}
+		_, src, std, err := w.Query([]float64{0.1, 0.1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if src == FromSurrogate && (len(std) != 1 || std[0] <= 0) {
+			t.Fatal("surrogate answer missing UQ")
+		}
+		mustWait(t, w)
+	})
 }
 
 func TestEffectiveSpeedupFormula(t *testing.T) {

@@ -12,17 +12,20 @@ import (
 
 // servingTestWrapper builds a pretrained wrapper whose UQ gate always
 // passes, so every Query exercises the pure surrogate serving path.
-func servingTestWrapper(t *testing.T) *Wrapper {
+func servingTestWrapper(t *testing.T, shards int) *ShardedWrapper {
 	t.Helper()
 	rng := xrand.New(0xa110c)
 	oracle := OracleFunc{In: 2, Out: 1, F: func(x []float64) ([]float64, error) {
 		return []float64{math.Sin(x[0]) + 0.5*x[1]}, nil
 	}}
-	sur := NewNNSurrogate(2, 1, []int{16}, 0.1, rng)
-	sur.Epochs = 50
-	sur.MCPasses = 10
-	w := NewWrapper(oracle, sur, WrapperConfig{MinTrainSamples: 10, UQThreshold: 100})
-	design := tensor.NewMatrix(40, 2)
+	factory := NewNNSurrogateFactory(2, 1, []int{16}, 0.1, rng, func(s *NNSurrogate) {
+		s.Epochs = 50
+		s.MCPasses = 10
+	})
+	w := NewShardedWrapper(oracle, factory, ShardedConfig{
+		Shards: shards, MinTrainSamples: 10, UQThreshold: 100,
+	})
+	design := tensor.NewMatrix(40*shards, 2)
 	for i := 0; i < design.Rows; i++ {
 		design.Set(i, 0, rng.Range(-1, 1))
 		design.Set(i, 1, rng.Range(-1, 1))
@@ -42,19 +45,21 @@ func TestQueryServingAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("sync.Pool drops items under -race; alloc counts through pooled paths are meaningless")
 	}
-	w := servingTestWrapper(t)
-	x := []float64{0.3, -0.2}
-	if _, src, _, err := w.Query(x); err != nil || src != FromSurrogate {
-		t.Fatalf("warmup query src=%v err=%v, want surrogate hit", src, err)
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		if _, _, _, err := w.Query(x); err != nil {
-			t.Fatal(err)
+	forEachShards(t, func(t *testing.T, shards int) {
+		w := servingTestWrapper(t, shards)
+		x := []float64{0.3, -0.2}
+		if _, src, _, err := w.Query(x); err != nil || src != FromSurrogate {
+			t.Fatalf("warmup query src=%v err=%v, want surrogate hit", src, err)
+		}
+		allocs := testing.AllocsPerRun(200, func() {
+			if _, _, _, err := w.Query(x); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 2 {
+			t.Fatalf("surrogate-served Query allocates %g times, want <= 2", allocs)
 		}
 	})
-	if allocs > 2 {
-		t.Fatalf("surrogate-served Query allocates %g times, want <= 2", allocs)
-	}
 }
 
 // TestSurrogateCompiledPathMatchesInterpreted checks the compiled serving

@@ -179,7 +179,7 @@ type ShardedConfig struct {
 	UQThreshold float64
 	// OracleWorkers bounds the fan-out pool QueryBatch uses for oracle
 	// fallbacks (default GOMAXPROCS; 1 serializes). Oracles must tolerate
-	// concurrent Run calls, the same contract concurrent Wrapper use
+	// concurrent Run calls, the same contract concurrent wrapper use
 	// already requires.
 	OracleWorkers int
 	// Retention bounds each shard's retained training window (sliding
@@ -201,8 +201,12 @@ type ShardedConfig struct {
 	// (default 0.1).
 	DriftAlpha float64
 	// Quantized serves every shard from its surrogate's int8 quantized
-	// program when available, with the same UQ-gated float fallback and
-	// QuantStats counters as WrapperConfig.Quantized. The knob wraps the
+	// program when available. Lookups whose UQ decision lands within the
+	// surrogate's QuantGateBound of UQThreshold — where the quantization
+	// delta could flip accept into reject or vice versa — and lookups
+	// whose input left the calibrated envelope are transparently re-run
+	// on the retained float program and counted (QuantStats), so the
+	// speedup never silently degrades the gate. The knob wraps the
 	// factory so each produced surrogate (including every
 	// recompile-on-publish refit generation) quantizes on Train.
 	Quantized bool
@@ -604,21 +608,23 @@ func (w *ShardedWrapper) tryLookup(s *shard, x []float64) (mean, sd []float64, s
 		return nil, nil, nil, false
 	}
 	sur := *surp
-	if w.quantPreferred() {
-		if qs, isQ := sur.(QuantServing); isQ && qs.QuantizedReady() {
-			t0 := time.Now()
-			mean, sd = quantLookupOne(qs, sur, x, w.cfg.UQThreshold, quantBand(qs, w.brownout.Load()), &w.quantQueries, &w.quantFallbacks)
-			dt := time.Since(t0)
-			if maxOf(sd) <= w.cfg.UQThreshold {
-				w.recordLookup(dt)
-				return mean, sd, surp, true
-			}
-			w.recordRejectedLookup(dt)
-			return mean, sd, surp, false
-		}
-	}
 	t0 := time.Now()
-	mean, sd = sur.PredictWithUQ(x)
+	if qs, isQ := sur.(QuantServing); isQ && w.quantPreferred() && qs.QuantizedReady() {
+		// Quantized lookup with the float-fallback guardrail: when the
+		// input clipped against the calibrated envelope, or the gating std
+		// lands within the quantization band of the threshold (the
+		// quantization delta could flip the decision), the float program
+		// decides. A negative band disables the boundary re-run.
+		var inRange bool
+		mean, sd, inRange = qs.PredictWithUQQuant(x)
+		w.quantQueries.Add(1)
+		if !inRange || math.Abs(maxOf(sd)-w.cfg.UQThreshold) <= quantBand(qs, w.brownout.Load()) {
+			w.quantFallbacks.Add(1)
+			mean, sd = sur.PredictWithUQ(x)
+		}
+	} else {
+		mean, sd = sur.PredictWithUQ(x)
+	}
 	dt := time.Since(t0)
 	if maxOf(sd) <= w.cfg.UQThreshold {
 		w.recordLookup(dt)
@@ -636,14 +642,38 @@ func (w *ShardedWrapper) QuantStats() (queries, fallbacks uint64) {
 	return w.quantQueries.Load(), w.quantFallbacks.Load()
 }
 
-// shardScratch pools the per-call working state of one sharded
-// QueryBatchInto: the shard partition, the gather buffer, and the
-// embedded mean/std staging plus miss list shared with the unsharded
-// wrapper's scratch.
+// shardScratch pools the per-call working state of one QueryBatchInto:
+// the shard partition, the gather buffer, the miss index list and the
+// surrogate's mean/std staging, so a warmed steady-state batch query
+// performs zero heap allocations.
 type shardScratch struct {
-	batchScratch
-	byShard [][]int
-	sub     *tensor.Matrix
+	byShard   [][]int
+	sub       *tensor.Matrix
+	miss      []int
+	mean, std *tensor.Matrix
+	oks       []bool // per-row quantization envelope verdicts
+}
+
+// okBuf returns the scratch ok slice sized to rows, growing on demand.
+func (sc *shardScratch) okBuf(rows int) []bool {
+	if cap(sc.oks) < rows {
+		sc.oks = make([]bool, rows)
+	}
+	sc.oks = sc.oks[:rows]
+	return sc.oks
+}
+
+// mats returns the scratch mean/std matrices reshaped to rows x out,
+// minting them on first use.
+func (sc *shardScratch) mats(rows, out int) (mean, std *tensor.Matrix) {
+	if sc.mean == nil {
+		sc.mean = tensor.NewMatrix(rows, out)
+		sc.std = tensor.NewMatrix(rows, out)
+	} else {
+		sc.mean.Reshape(rows, out)
+		sc.std.Reshape(rows, out)
+	}
+	return sc.mean, sc.std
 }
 
 func (w *ShardedWrapper) getScratch() *shardScratch {

@@ -433,28 +433,29 @@ func (o *barrierOracle) Run(x []float64) ([]float64, error) {
 // oracles concurrently: with 4 workers and 4 misses, all 4 calls must be
 // in flight at once for any to complete.
 func TestQueryBatchOracleFanout(t *testing.T) {
-	oracle := &barrierOracle{need: 4, release: make(chan struct{})}
-	rng := xrand.New(17)
-	sur := NewNNSurrogate(2, 1, []int{4}, 0.1, rng)
-	w := NewWrapper(oracle, sur, WrapperConfig{
-		MinTrainSamples: 1 << 30, UQThreshold: 0.5, OracleWorkers: 4,
+	forEachShards(t, func(t *testing.T, shards int) {
+		oracle := &barrierOracle{need: 4, release: make(chan struct{})}
+		rng := xrand.New(17)
+		w := NewShardedWrapper(oracle, NewNNSurrogateFactory(2, 1, []int{4}, 0.1, rng, nil), ShardedConfig{
+			Shards: shards, MinTrainSamples: 1 << 30, UQThreshold: 0.5, OracleWorkers: 4,
+		})
+		batch := tensor.NewMatrix(4, 2)
+		for i := range batch.Data {
+			batch.Data[i] = rng.Range(-1, 1)
+		}
+		res, err := w.QueryBatch(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range res {
+			if r.Err != nil {
+				t.Fatalf("row %d: %v", i, r.Err)
+			}
+			if r.Src != FromSimulation || r.Y[0] != batch.At(i, 0) {
+				t.Fatalf("row %d wrong answer %+v", i, r)
+			}
+		}
 	})
-	batch := tensor.NewMatrix(4, 2)
-	for i := range batch.Data {
-		batch.Data[i] = rng.Range(-1, 1)
-	}
-	res, err := w.QueryBatch(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range res {
-		if r.Err != nil {
-			t.Fatalf("row %d: %v", i, r.Err)
-		}
-		if r.Src != FromSimulation || r.Y[0] != batch.At(i, 0) {
-			t.Fatalf("row %d wrong answer %+v", i, r)
-		}
-	}
 }
 
 // TestShardedEndToEnd exercises the full NN pipeline under concurrency:
@@ -658,32 +659,38 @@ func TestShardedFailedRefitKeepsRetrainCredit(t *testing.T) {
 // the remaining (expensive) runs, while samples already computed are kept
 // ("no run is wasted").
 func TestPretrainAbortsEarlyKeepsSuccesses(t *testing.T) {
-	var calls atomic.Int64
-	oracle := OracleFunc{In: 2, Out: 1, F: func(x []float64) ([]float64, error) {
-		if calls.Add(1) == 3 {
-			return nil, errors.New("rig crashed")
+	forEachShards(t, func(t *testing.T, shards int) {
+		var calls atomic.Int64
+		oracle := OracleFunc{In: 2, Out: 1, F: func(x []float64) ([]float64, error) {
+			if calls.Add(1) == 3 {
+				return nil, errors.New("rig crashed")
+			}
+			return []float64{x[0]}, nil
+		}}
+		rng := xrand.New(33)
+		w := NewShardedWrapper(oracle, NewNNSurrogateFactory(2, 1, []int{4}, 0.1, rng, nil), ShardedConfig{
+			Shards: shards, MinTrainSamples: 1 << 30, UQThreshold: 1, OracleWorkers: 1,
+		})
+		design := tensor.NewMatrix(10, 2)
+		for i := range design.Data {
+			design.Data[i] = rng.Range(-1, 1)
 		}
-		return []float64{x[0]}, nil
-	}}
-	rng := xrand.New(33)
-	sur := NewNNSurrogate(2, 1, []int{4}, 0.1, rng)
-	w := NewWrapper(oracle, sur, WrapperConfig{MinTrainSamples: 1 << 30, UQThreshold: 1})
-	design := tensor.NewMatrix(10, 2)
-	for i := range design.Data {
-		design.Data[i] = rng.Range(-1, 1)
-	}
-	err := w.Pretrain(design)
-	if err == nil {
-		t.Fatal("pretrain swallowed the oracle failure")
-	}
-	// Sequential fallback (OracleWorkers unset): exactly 3 runs happened —
-	// the failure aborted the other 7.
-	if got := calls.Load(); got != 3 {
-		t.Fatalf("oracle ran %d times want 3 (early abort)", got)
-	}
-	if got := w.TrainingSetSize(); got != 2 {
-		t.Fatalf("kept %d successful samples want 2", got)
-	}
+		err := w.Pretrain(design)
+		if err == nil {
+			t.Fatal("pretrain swallowed the oracle failure")
+		}
+		// Sequential fan-out (OracleWorkers 1): exactly 3 runs happened —
+		// the failure aborted the other 7.
+		if got := calls.Load(); got != 3 {
+			t.Fatalf("oracle ran %d times want 3 (early abort)", got)
+		}
+		if got := w.TrainingSetSize(); got != 2 {
+			t.Fatalf("kept %d successful samples want 2", got)
+		}
+		if led := w.Ledger(); led.NTrainingRuns != 0 {
+			t.Fatalf("aborted pretrain still trained %d times", led.NTrainingRuns)
+		}
+	})
 }
 
 // failSur always fails to train.

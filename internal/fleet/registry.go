@@ -84,8 +84,8 @@ func (b *registryBinding) stats() (gen uint64, s registry.Stats) {
 // how many shards restored a model), every generation it publishes from
 // then on is persisted, and, with RollbackFactor set on a sharded
 // backend, the drift watch auto-rolls-back regressions. The backend must
-// be a *core.Wrapper or *core.ShardedWrapper. The binding lives until
-// the tenant is deregistered or the fleet closes.
+// be a *core.ShardedWrapper. The binding lives until the tenant is
+// deregistered or the fleet closes.
 func (f *Fleet) BindRegistry(name string, cfg RegistryConfig) (warmed int, err error) {
 	if cfg.Registry == nil {
 		return 0, errors.New("fleet: RegistryConfig.Registry is required")
@@ -136,19 +136,6 @@ func (f *Fleet) BindRegistry(name string, cfg RegistryConfig) (warmed int, err e
 			b.done = make(chan struct{})
 			go b.driftWatch(w, cfg, rng, onErr)
 		}
-	case *core.Wrapper:
-		b.shards = 1
-		ok, werr := registry.WarmStartWrapper(cfg.Registry, key, w, rng)
-		if werr != nil {
-			onErr("warm-start", werr)
-		}
-		if ok {
-			warmed = 1
-		}
-		w.SetPublishHook(registry.Publisher(cfg.Registry, key, func(_ int, err error) {
-			onErr("publish", err)
-		}))
-		b.unhook = func() { w.SetPublishHook(nil) }
 	default:
 		return 0, fmt.Errorf("fleet: tenant %q backend %T cannot bind a registry", name, t.backend)
 	}

@@ -2,7 +2,9 @@ package md
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -455,6 +457,54 @@ func TestOracleDistinctSeedsPerRun(t *testing.T) {
 	}
 	if same {
 		t.Fatal("repeated oracle runs should use fresh seeds (stochastic replicas)")
+	}
+}
+
+// TestOracleConcurrentRuns checks Run is safe under the wrapper's oracle
+// fan-out: concurrent runs at identical parameters each draw a distinct
+// seed from the same sequence sequential runs use, so the concurrent
+// answers are exactly the sequential ones in some order.
+func TestOracleConcurrentRuns(t *testing.T) {
+	rc := RunConfig{EquilSteps: 50, SampleSteps: 150, SampleEvery: 5, Bins: 20}
+	x := []float64{6, 1, 1, 0.05, 1.0}
+	const n = 4
+	seq := NewOracle(testConfig(), rc)
+	want := map[string]int{}
+	for i := 0; i < n; i++ {
+		y, err := seq.Run(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[fmt.Sprint(y)]++
+	}
+	if len(want) != n {
+		t.Fatalf("%d sequential replicas gave %d distinct answers; test premise broken", n, len(want))
+	}
+
+	conc := NewOracle(testConfig(), rc)
+	got := make([][]float64, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], errs[i] = conc.Run(x)
+		}(i)
+	}
+	wg.Wait()
+	for i := 0; i < n; i++ {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		key := fmt.Sprint(got[i])
+		if want[key] == 0 {
+			t.Fatalf("concurrent run %d answered %v, not one of the sequential replicas", i, got[i])
+		}
+		want[key]--
+	}
+	if c := conc.seedCounter.Load(); c != n {
+		t.Fatalf("seed counter %d after %d runs", c, n)
 	}
 }
 

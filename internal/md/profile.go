@@ -3,6 +3,7 @@ package md
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/core"
 )
@@ -92,8 +93,9 @@ func (p *Profile) Result(s *System) *Result {
 type Oracle struct {
 	Cfg Config
 	RC  RunConfig
-	// seedCounter differentiates repeated runs at identical parameters.
-	seedCounter uint64
+	// seedCounter differentiates repeated runs at identical parameters;
+	// atomic because wrappers fan oracle runs out over workers.
+	seedCounter atomic.Uint64
 }
 
 // NewOracle builds an MD oracle with the given numerical setup.
@@ -111,8 +113,7 @@ func (o *Oracle) Run(x []float64) ([]float64, error) {
 	}
 	p := Params{H: x[0], Zp: int(x[1] + 0.5), Zn: int(x[2] + 0.5), C: x[3], D: x[4]}
 	cfg := o.Cfg
-	o.seedCounter++
-	cfg.Seed = o.Cfg.Seed + o.seedCounter*0x9e3779b9
+	cfg.Seed = o.Cfg.Seed + o.seedCounter.Add(1)*0x9e3779b9
 	sys, err := NewSystem(p, cfg)
 	if err != nil {
 		return nil, err

@@ -419,11 +419,11 @@ func isBreakerFailure(err error) bool {
 // caller's deadline.
 func (rc *ResilientClient) attempts(tenant string, x, y, std []float64, deadline time.Time) (WireResult, error) {
 	var last error = ErrNoConn
-	back := rc.cfg.RetryBackoff
+	back := Backoff{D: rc.cfg.RetryBackoff, Max: rc.cfg.RetryBackoffMax}
 	for attempt := 0; attempt < rc.cfg.MaxAttempts; attempt++ {
 		if attempt > 0 {
 			rc.retries.Add(1)
-			d := rc.jitter(back)
+			d := back.Next(rc.unit())
 			if !deadline.IsZero() && time.Now().Add(d).After(deadline) {
 				// Sleeping would land past the deadline: the retry is
 				// already lost, report the attempt that got furthest.
@@ -433,10 +433,6 @@ func (rc *ResilientClient) attempts(tenant string, x, y, std []float64, deadline
 			case <-rc.quit:
 				return WireResult{}, ErrClientClosed
 			case <-time.After(d):
-			}
-			back *= 2
-			if back > rc.cfg.RetryBackoffMax {
-				back = rc.cfg.RetryBackoffMax
 			}
 		}
 		cl, sl := rc.pick(nil)
@@ -636,7 +632,7 @@ func (rc *ResilientClient) spawnRepair(sl *rslot) {
 func (rc *ResilientClient) repair(sl *rslot) {
 	defer rc.repairs.Done()
 	defer sl.repairing.Store(false)
-	back := rc.cfg.ReconnectBackoff
+	back := Backoff{D: rc.cfg.ReconnectBackoff, Max: rc.cfg.ReconnectBackoffMax}
 	for {
 		if rc.closed.Load() {
 			return
@@ -658,11 +654,7 @@ func (rc *ResilientClient) repair(sl *rslot) {
 		select {
 		case <-rc.quit:
 			return
-		case <-time.After(rc.jitter(back)):
-		}
-		back *= 2
-		if back > rc.cfg.ReconnectBackoffMax {
-			back = rc.cfg.ReconnectBackoffMax
+		case <-time.After(back.Next(rc.unit())):
 		}
 	}
 }
@@ -692,12 +684,12 @@ func (rc *ResilientClient) breakerFor(tenant string) *breaker {
 	return b
 }
 
-// jitter draws uniformly from [d/2, d).
-func (rc *ResilientClient) jitter(d time.Duration) time.Duration {
+// unit draws the next backoff jitter sample, uniform in [0, 1), from the
+// client's seeded stream.
+func (rc *ResilientClient) unit() float64 {
 	rc.rmu.Lock()
-	f := rc.rng.Float64()
-	rc.rmu.Unlock()
-	return d/2 + time.Duration(f*float64(d/2))
+	defer rc.rmu.Unlock()
+	return rc.rng.Float64()
 }
 
 // ---------------------------------------------------------------------------
@@ -714,18 +706,14 @@ func (rc *ResilientClient) artAttempts(call func(cl *Client) error) error {
 		return ErrClientClosed
 	}
 	var last error = ErrNoConn
-	back := rc.cfg.RetryBackoff
+	back := Backoff{D: rc.cfg.RetryBackoff, Max: rc.cfg.RetryBackoffMax}
 	for attempt := 0; attempt < rc.cfg.MaxAttempts; attempt++ {
 		if attempt > 0 {
 			rc.retries.Add(1)
 			select {
 			case <-rc.quit:
 				return ErrClientClosed
-			case <-time.After(rc.jitter(back)):
-			}
-			back *= 2
-			if back > rc.cfg.RetryBackoffMax {
-				back = rc.cfg.RetryBackoffMax
+			case <-time.After(back.Next(rc.unit())):
 			}
 		}
 		cl, sl := rc.pick(nil)

@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"bytes"
 	"math"
 	"testing"
 	"testing/quick"
@@ -423,17 +422,25 @@ func TestScalerConstantColumn(t *testing.T) {
 	}
 }
 
-func TestSaveLoadRoundTrip(t *testing.T) {
-	rng := xrand.New(79)
-	net := NewMLP(rng, Tanh, 0.1, 4, 10, 3)
-	var buf bytes.Buffer
-	if err := net.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := Load(&buf, xrand.New(80))
+// roundTripNet encodes net as a network-only artifact and decodes it
+// back, failing the test on any error.
+func roundTripNet(t testing.TB, net *Network, rng *xrand.Rand) *Network {
+	t.Helper()
+	data, err := EncodeArtifact(&Artifact{Net: net})
 	if err != nil {
 		t.Fatal(err)
 	}
+	a, err := DecodeArtifact(data, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a.Net
+}
+
+func TestSaveLoadRoundTrip(t *testing.T) {
+	rng := xrand.New(79)
+	net := NewMLP(rng, Tanh, 0.1, 4, 10, 3)
+	restored := roundTripNet(t, net, xrand.New(80))
 	in := []float64{0.1, -0.5, 0.3, 0.9}
 	a := net.Predict(in)
 	b := restored.Predict(in)
@@ -443,12 +450,12 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		}
 	}
 	if restored.NumParams() != net.NumParams() {
-		t.Fatal("parameter count changed across save/load")
+		t.Fatal("parameter count changed across encode/decode")
 	}
 }
 
 func TestLoadGarbageFails(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("not a gob")), xrand.New(1)); err == nil {
+	if _, err := DecodeArtifact([]byte("not an artifact"), xrand.New(1)); err == nil {
 		t.Fatal("loading garbage should fail")
 	}
 }

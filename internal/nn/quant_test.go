@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
@@ -234,20 +233,13 @@ func TestQuantizeUnsupported(t *testing.T) {
 	}
 }
 
-// Serialize round-trip: deserialize → Compile → Quantize must reproduce
-// bit-identical int8 panels and scales — the groundwork for shipping
-// quantized programs through the artifact registry.
+// Serialize round-trip: artifact decode → Compile → Quantize must
+// reproduce bit-identical int8 panels and scales, so a receiver that
+// gets only the network section can rebuild the quantized program.
 func TestQuantSerializeRoundTrip(t *testing.T) {
 	net, calib := trainQuantNet(t, 150, Tanh, 0.1, 6, 30, 48, 3)
 	q1 := net.Compile().Quantize(calib)
-	var buf bytes.Buffer
-	if err := net.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(&buf, xrand.New(151))
-	if err != nil {
-		t.Fatal(err)
-	}
+	loaded := roundTripNet(t, net, xrand.New(151))
 	q2 := loaded.Compile().Quantize(calib)
 	if q2 == nil {
 		t.Fatal("restored net did not quantize")

@@ -449,6 +449,17 @@ func (r *Registry) quarantineLocked(name, ndir string, gen uint64) {
 // monotonic: the next publish still gets a number above the condemned
 // one.
 func (r *Registry) Rollback(name string) (uint64, error) {
+	return r.rollback(name, nil)
+}
+
+// rollback is Rollback with an optional install step. With install set,
+// the predecessor is the newest one that passes its checksum (corrupt
+// ones are quarantined on the way, as Latest does), and its bytes go to
+// install before the rollback commits, so a caller can start serving
+// the predecessor before the registry reports the rollback. An install
+// error leaves the current generation in place. install runs under the
+// registry lock and must not call back into the registry.
+func (r *Registry) rollback(name string, install func(gen uint64, data []byte) error) (uint64, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
@@ -465,10 +476,31 @@ func (r *Registry) Rollback(name string) (uint64, error) {
 		return 0, fmt.Errorf("registry: rollback %s: %w", name, err)
 	}
 	pred := uint64(0)
-	for _, g := range gens {
-		if g < st.cur && g > pred {
-			pred = g
+	for i := len(gens) - 1; i >= 0 && pred == 0; i-- {
+		g := gens[i]
+		if g >= st.cur {
+			continue
 		}
+		if install == nil {
+			pred = g
+			continue
+		}
+		data, unmap, rerr := r.readArtifact(filepath.Join(ndir, genFile(g)))
+		if rerr == nil {
+			if rerr = r.verify(data); rerr != nil {
+				unmap()
+			}
+		}
+		if rerr != nil {
+			r.quarantineLocked(name, ndir, g)
+			continue
+		}
+		r.unmaps = append(r.unmaps, unmap)
+		r.global.Opens++
+		if err := install(g, data); err != nil {
+			return 0, err
+		}
+		pred = g
 	}
 	if pred == 0 {
 		return 0, fmt.Errorf("%w: %s gen %d", ErrNoPredecessor, name, st.cur)

@@ -9,13 +9,13 @@ import (
 	"repro/internal/xrand"
 )
 
-// This file binds the registry to the core serving wrappers: shard-key
+// This file binds the registry to the core serving wrapper: shard-key
 // naming, publish hooks that persist every generation a wrapper starts
 // serving, warm starts that restore the newest durable generation with
 // zero retraining, and the rollback path that reinstalls a predecessor.
 
 // ShardKey names one shard of a tenant's model sequence in the
-// registry. The unsharded Wrapper publishes as shard 0.
+// registry.
 func ShardKey(tenant string, shard int) string {
 	return fmt.Sprintf("%s/shard-%d", tenant, shard)
 }
@@ -119,38 +119,22 @@ func WarmStartSharded(r *Registry, tenant string, w *core.ShardedWrapper, rng *x
 	return warmed
 }
 
-// WarmStartWrapper restores an unsharded Wrapper from the newest
-// generation of tenant's shard-0 key. A missing generation is not an
-// error — the wrapper just starts cold.
-func WarmStartWrapper(r *Registry, tenant string, w *core.Wrapper, rng *xrand.Rand) (bool, error) {
-	sur, _, _, err := LoadSurrogate(r, ShardKey(tenant, 0), rng)
-	if err != nil {
-		if errors.Is(err, ErrNotFound) {
-			return false, nil
-		}
-		return false, err
-	}
-	wantIn, wantOut := w.Dims()
-	if in, out := sur.Dims(); in != wantIn || out != wantOut {
-		return false, fmt.Errorf("registry: artifact is %d→%d, wrapper serves %d→%d", in, out, wantIn, wantOut)
-	}
-	return w.WarmStart(sur), nil
-}
-
 // RollbackShard rolls tenant's shard si back one registry generation
 // and reinstalls the restored predecessor into the wrapper as a fresh
 // publish generation (see ShardedWrapper.Reinstall), so in-flight
-// refits of the rolled-away model lose the publish race. It returns the
-// registry generation now serving.
+// refits of the rolled-away model lose the publish race. The wrapper
+// swaps before the registry commits, so registry stats never report a
+// rollback the shard is not yet serving; a predecessor that fails to
+// decode leaves both untouched. It returns the registry generation now
+// serving.
 func RollbackShard(r *Registry, tenant string, si int, w *core.ShardedWrapper, rng *xrand.Rand) (uint64, error) {
 	key := ShardKey(tenant, si)
-	if _, err := r.Rollback(key); err != nil {
-		return 0, err
-	}
-	sur, base, gen, err := LoadSurrogate(r, key, rng)
-	if err != nil {
-		return 0, err
-	}
-	w.Reinstall(si, sur, base)
-	return gen, nil
+	return r.rollback(key, func(gen uint64, data []byte) error {
+		sur, base, err := core.DecodeNNSurrogate(data, rng)
+		if err != nil {
+			return fmt.Errorf("registry: decode %s gen %d: %w", key, gen, err)
+		}
+		w.Reinstall(si, sur, base)
+		return nil
+	})
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/nn"
 	"repro/internal/tensor"
 	"repro/internal/xrand"
 )
@@ -159,20 +160,20 @@ func TestPublishHookWarmStartBitIdentical(t *testing.T) {
 	}
 }
 
-// A wrapper that trained live refuses a warm start, and the unsharded
-// Wrapper warm-starts through the same registry path.
-func TestWarmStartWrapperAndPrecedence(t *testing.T) {
+// A wrapper that trained live refuses a warm start, and a 1-shard
+// wrapper warm-starts from its shard-0 key.
+func TestWarmStartOneShardAndPrecedence(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "reg")
 	reg, err := Open(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer reg.Close()
+	single := core.ShardedConfig{Shards: 1, MinTrainSamples: 8, UQThreshold: 1e9}
+	noErr := func(si int, err error) { t.Errorf("warm-start shard %d: %v", si, err) }
 
 	oracle := &countingOracle{}
-	sur := core.NewNNSurrogate(2, 1, []int{8}, 0.1, xrand.New(3))
-	sur.Epochs, sur.MCPasses = 40, 4
-	w := core.NewWrapper(oracle, sur, core.WrapperConfig{MinTrainSamples: 8, UQThreshold: 1e9})
+	w := core.NewShardedWrapper(oracle, testFactory(xrand.New(3)), single)
 	w.SetPublishHook(Publisher(reg, "single", func(_ int, err error) { t.Errorf("publish: %v", err) }))
 	if err := w.Pretrain(testDesign(30, 5)); err != nil {
 		t.Fatal(err)
@@ -182,16 +183,15 @@ func TestWarmStartWrapperAndPrecedence(t *testing.T) {
 	}
 
 	// Live-trained wrapper: warm start must refuse.
-	if ok, err := WarmStartWrapper(reg, "single", w, xrand.New(4)); err != nil || ok {
-		t.Fatalf("warm start over a live model: ok=%v err=%v", ok, err)
+	if n := WarmStartSharded(reg, "single", w, xrand.New(4), noErr); n != 0 {
+		t.Fatalf("warm start over a live model installed %d shards", n)
 	}
 
 	// Fresh wrapper: warm start installs and serves oracle-free.
 	oracle2 := &countingOracle{}
-	sur2 := core.NewNNSurrogate(2, 1, []int{8}, 0.1, xrand.New(6))
-	w2 := core.NewWrapper(oracle2, sur2, core.WrapperConfig{MinTrainSamples: 8, UQThreshold: 1e9})
-	if ok, err := WarmStartWrapper(reg, "single", w2, xrand.New(4)); err != nil || !ok {
-		t.Fatalf("warm start: ok=%v err=%v", ok, err)
+	w2 := core.NewShardedWrapper(oracle2, testFactory(xrand.New(6)), single)
+	if n := WarmStartSharded(reg, "single", w2, xrand.New(4), noErr); n != 1 {
+		t.Fatalf("warm start installed %d shards, want 1", n)
 	}
 	if _, src, _, err := w2.Query([]float64{0.3, -0.2}); err != nil || src != core.FromSurrogate {
 		t.Fatalf("src=%v err=%v", src, err)
@@ -253,5 +253,50 @@ func TestRollbackShardReinstalls(t *testing.T) {
 	}
 	if ns := reg.NameStats(key); ns.Publishes != 2 || ns.Rollbacks != 1 {
 		t.Fatalf("stats %+v", ns)
+	}
+}
+
+// A predecessor that passes its checksum but does not decode as a
+// surrogate must leave everything as it was: the registry keeps its
+// current generation and counts no rollback, and the shard keeps
+// serving the model it had.
+func TestRollbackShardUndecodableKeepsCurrent(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "reg")
+	reg, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	key := ShardKey("ten", 0)
+	// Generation 1: a valid artifact holding a bare network, no
+	// surrogate metadata.
+	bare, err := nn.EncodeArtifact(&nn.Artifact{Net: nn.NewMLP(xrand.New(13), nn.Tanh, 0.1, 2, 4, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.Publish(key, bare); err != nil {
+		t.Fatal(err)
+	}
+
+	w := core.NewShardedWrapper(&countingOracle{}, testFactory(xrand.New(14)), core.ShardedConfig{
+		Shards: 1, MinTrainSamples: 8, UQThreshold: 1e9,
+	})
+	w.SetPublishHook(Publisher(reg, "ten", func(si int, err error) { t.Errorf("publish: %v", err) }))
+	if err := w.Pretrain(testDesign(30, 22)); err != nil {
+		t.Fatal(err)
+	}
+	genBefore := w.Status()[0].Generation
+
+	if _, err := RollbackShard(reg, "ten", 0, w, xrand.New(15)); err == nil {
+		t.Fatal("rollback onto an undecodable predecessor succeeded")
+	}
+	if g, _ := reg.CurrentGeneration(key); g != 2 {
+		t.Fatalf("registry gen %d after failed rollback, want 2", g)
+	}
+	if ns := reg.NameStats(key); ns.Rollbacks != 0 {
+		t.Fatalf("failed rollback counted: %+v", ns)
+	}
+	if g := w.Status()[0].Generation; g != genBefore {
+		t.Fatalf("shard generation moved %d -> %d on a failed rollback", genBefore, g)
 	}
 }

@@ -2,6 +2,7 @@ package router
 
 import (
 	"bufio"
+	"math/rand"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -97,7 +98,8 @@ func (wk *worker) connect() error {
 }
 
 // spawnRepair starts (at most one) background redial loop for the
-// worker. On success the worker rejoins the ring.
+// worker, climbing the same jittered backoff ladder as the resilient
+// client. On success the worker rejoins the ring.
 func (wk *worker) spawnRepair() {
 	if wk.closed.Load() || !wk.repairing.CompareAndSwap(false, true) {
 		return
@@ -107,12 +109,12 @@ func (wk *worker) spawnRepair() {
 	go func() {
 		defer rt.bg.Done()
 		defer wk.repairing.Store(false)
-		backoff := rt.cfg.ReconnectBackoff
+		back := netserve.Backoff{D: rt.cfg.ReconnectBackoff, Max: rt.cfg.ReconnectBackoffMax}
 		for {
 			select {
 			case <-rt.quit:
 				return
-			case <-time.After(backoff):
+			case <-time.After(back.Next(rand.Float64())):
 			}
 			if wk.closed.Load() {
 				return
@@ -123,10 +125,6 @@ func (wk *worker) spawnRepair() {
 				rt.rebalanceLocked()
 				rt.pmu.Unlock()
 				return
-			}
-			backoff *= 2
-			if backoff > rt.cfg.ReconnectBackoffMax {
-				backoff = rt.cfg.ReconnectBackoffMax
 			}
 		}
 	}()

@@ -80,8 +80,8 @@ type Config struct {
 	WriteTimeout time.Duration
 	// DialTimeout bounds each backend dial (default 2s).
 	DialTimeout time.Duration
-	// ReconnectBackoff / ReconnectBackoffMax shape the backend redial
-	// ladder (defaults 25ms and 1s).
+	// ReconnectBackoff / ReconnectBackoffMax shape the jittered backend
+	// redial ladder (defaults 25ms and 1s).
 	ReconnectBackoff, ReconnectBackoffMax time.Duration
 	// Control tunes the per-worker resilient control-plane client pool
 	// (artifact stat/fetch/push). Conns defaults to 1 and the client

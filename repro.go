@@ -7,20 +7,24 @@
 // exercised through the examples, the cmd/learnhpc experiment driver and
 // the top-level benchmarks.
 //
-// Quick start:
+// Quick start — one shard is a single surrogate over the whole input
+// space; every (re)fit trains a fresh factory model in the background and
+// publishes it by atomic swap, so serving never waits on training:
 //
-//	oracle := core.OracleFunc{In: 2, Out: 1, F: mySimulation}
-//	sur := repro.NewNNSurrogate(2, 1, []int{30, 48}, 0.1, rng)
-//	w := repro.NewWrapper(oracle, sur, repro.WrapperConfig{UQThreshold: 0.05})
+//	oracle := repro.OracleFunc{In: 2, Out: 1, F: mySimulation}
+//	fac := repro.NewNNSurrogateFactory(2, 1, []int{30, 48}, 0.1, rng, nil)
+//	w := repro.NewShardedWrapper(oracle, fac, repro.ShardedConfig{
+//		Shards: 1, UQThreshold: 0.05,
+//	})
 //	y, src, uq, err := w.Query(x) // simulation first, surrogate once trusted
+//	err = w.Wait()                // drain background refits (and their errors)
 //	res, err := w.QueryBatch(xs)  // amortized batched serving, concurrency-safe
 //	fmt.Println(w.Ledger().EffectiveSpeedup(1))
 //
-// For serving under heavy traffic, NewShardedWrapper partitions the input
-// space and double-buffers each shard's surrogate so background refits
-// never stall readers, fanning oracle fallbacks over a worker pool:
+// For serving under heavy traffic, more shards partition the input space
+// so each shard's surrogate refits independently, and oracle fallbacks
+// fan out over a worker pool:
 //
-//	fac := repro.NewNNSurrogateFactory(2, 1, []int{30, 48}, 0.1, rng, nil)
 //	sw := repro.NewShardedWrapper(oracle, fac, repro.ShardedConfig{
 //		Shards: 8, UQThreshold: 0.05, RetrainEvery: 200, OracleWorkers: 8,
 //	})
@@ -88,17 +92,14 @@ type (
 	// BatchPredictor is the optional deterministic batched point-predict
 	// capability the drift tracker's bulk paths prefer.
 	BatchPredictor = core.BatchPredictor
-	// BatchResult is one row's answer from Wrapper.QueryBatch.
+	// BatchResult is one row's answer from ShardedWrapper.QueryBatch.
 	BatchResult = core.BatchResult
 	// NNSurrogate is the reference MC-dropout MLP surrogate.
 	NNSurrogate = core.NNSurrogate
-	// Wrapper is the MLaroundHPC runtime (UQ-gated surrogate-or-simulate).
-	Wrapper = core.Wrapper
-	// WrapperConfig tunes the wrapper.
-	WrapperConfig = core.WrapperConfig
-	// ShardedWrapper is the stall-free serving runtime: input-space
-	// shards, double-buffered surrogates published by atomic swap, and
-	// bounded parallel oracle fan-out.
+	// ShardedWrapper is the MLaroundHPC runtime (UQ-gated
+	// surrogate-or-simulate): input-space shards, double-buffered
+	// surrogates published by atomic swap, and bounded parallel oracle
+	// fan-out.
 	ShardedWrapper = core.ShardedWrapper
 	// ShardedConfig tunes the sharded wrapper.
 	ShardedConfig = core.ShardedConfig
@@ -191,17 +192,6 @@ func NewMatrix(rows, cols int) *Matrix { return tensor.NewMatrix(rows, cols) }
 
 // FromRows builds a matrix from a slice of equal-length rows.
 func FromRows(rows [][]float64) *Matrix { return tensor.FromRows(rows) }
-
-// NewNNSurrogate builds the reference surrogate for an in→out mapping with
-// the given hidden widths and dropout rate.
-func NewNNSurrogate(in, out int, hidden []int, dropout float64, rng *Rand) *NNSurrogate {
-	return core.NewNNSurrogate(in, out, hidden, dropout, rng)
-}
-
-// NewWrapper wraps an oracle with a UQ-gated surrogate.
-func NewWrapper(oracle Oracle, surrogate Surrogate, cfg WrapperConfig) *Wrapper {
-	return core.NewWrapper(oracle, surrogate, cfg)
-}
 
 // NewShardedWrapper wraps an oracle with sharded, double-buffered
 // surrogates: retraining never stalls serving (see ShardedWrapper).

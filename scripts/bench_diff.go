@@ -23,10 +23,9 @@
 // relative perf claims (the int8 quantized forward versus the float
 // compiled forward) are enforced. -ignore exempts name substrings from the
 // ns/op tolerance (still printed, marked "noise"): it exists for
-// deliberately stalling negative baselines — e.g. the locked wrapper
-// under retrain, whose ns/op is bimodal run to run depending on how many
-// queries land inside a refit window — where a "regression" carries no
-// signal about the code. Entries whose name starts with "_" (snapshot
+// deliberately stalling negative baselines, whose ns/op is bimodal run
+// to run, where a "regression" carries no signal about the code.
+// Entries whose name starts with "_" (snapshot
 // metadata such as _meta.gomaxprocs) are ignored everywhere.
 package main
 
