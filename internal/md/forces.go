@@ -107,6 +107,7 @@ type cellList struct {
 	L, H       float64
 	heads      []int
 	next       []int
+	cell       []int // cell index of each particle at the last build
 }
 
 func newCellList(L, H, cutoff float64) *cellList {
@@ -125,7 +126,8 @@ func newCellList(L, H, cutoff float64) *cellList {
 	}
 }
 
-// build assigns particles to cells.
+// build assigns particles to cells. Particles are pushed in ascending
+// index order, so every cell's chain runs in descending index order.
 func (c *cellList) build(pos []float64, n int) {
 	total := c.nx * c.ny * c.nz
 	if len(c.heads) != total {
@@ -133,12 +135,14 @@ func (c *cellList) build(pos []float64, n int) {
 	}
 	if len(c.next) != n {
 		c.next = make([]int, n)
+		c.cell = make([]int, n)
 	}
 	for i := range c.heads {
 		c.heads[i] = -1
 	}
 	for i := 0; i < n; i++ {
 		idx := c.cellIndex(pos[3*i], pos[3*i+1], pos[3*i+2])
+		c.cell[i] = idx
 		c.next[i] = c.heads[idx]
 		c.heads[idx] = i
 	}
@@ -163,68 +167,36 @@ func (c *cellList) cellIndex(x, y, z float64) int {
 	return (iz*c.ny+iy)*c.nx + ix
 }
 
-// neighborsOf calls visit for every particle in the 27 cells around the
-// given position (including the particle's own cell).
-func (c *cellList) neighborsOf(x, y, z float64, visit func(j int)) {
-	ix := int(wrap(x, c.L) / c.cx)
-	iy := int(wrap(y, c.L) / c.cy)
-	iz := int((z + c.H/2) / c.cz)
-	if ix >= c.nx {
-		ix = c.nx - 1
-	}
-	if iy >= c.ny {
-		iy = c.ny - 1
-	}
-	if iz < 0 {
-		iz = 0
-	}
-	if iz >= c.nz {
-		iz = c.nz - 1
-	}
-	// With fewer than 3 cells along a periodic axis the ±1 neighbors wrap
-	// onto the same cell; deduplicate the wrapped indices so pairs are
-	// visited exactly once.
-	xs := periodicNeighbors(ix, c.nx)
-	ys := periodicNeighbors(iy, c.ny)
-	for dz := -1; dz <= 1; dz++ {
-		jz := iz + dz
-		if jz < 0 || jz >= c.nz {
-			continue
-		}
-		for _, jy := range ys {
-			for _, jx := range xs {
-				for j := c.heads[(jz*c.ny+jy)*c.nx+jx]; j >= 0; j = c.next[j] {
-					visit(j)
-				}
-			}
-		}
+// periodicNeighbors returns the distinct wrapped cell indices {i-1, i, i+1}
+// along a periodic axis of n cells, and how many of the three slots hold
+// one. With fewer than 3 cells the ±1 neighbors wrap onto the same cell,
+// so they are deduplicated and every pair is visited exactly once.
+func periodicNeighbors(i, n int) (out [3]int, k int) {
+	switch {
+	case n >= 3:
+		return [3]int{(i - 1 + n) % n, i, (i + 1) % n}, 3
+	case n == 2:
+		return [3]int{i, 1 - i}, 2
+	default:
+		return [3]int{0}, 1
 	}
 }
 
-// periodicNeighbors returns the distinct wrapped cell indices {i-1, i, i+1}
-// along a periodic axis of n cells.
-func periodicNeighbors(i, n int) []int {
-	if n >= 3 {
-		return []int{(i - 1 + n) % n, i, (i + 1) % n}
-	}
-	if n == 2 {
-		return []int{i, 1 - i}
-	}
-	return []int{0}
-}
+// wallCutFactor is 2^(1/6): the WCA cutoff of the 12-6 wall repulsion in
+// units of its sigma.
+var wallCutFactor = math.Pow(2, 1.0/6)
 
 // ComputeForces fills s.Force with the total force on every particle:
 // WCA + screened Coulomb for ion pairs, the active solvent kernel for
 // solvent-solvent pairs, WCA for ion-solvent pairs, and the wall
-// potential. The loop is parallelized over particles; each worker computes
-// the full force on its own particles (pairs are evaluated twice, which
-// doubles FLOPs but needs no synchronization — the standard shared-memory
-// trade the paper's heterogeneity discussion motivates measuring).
+// potential. Each unordered pair is evaluated once and applied to both
+// particles (Newton's third law). With more than one worker, particles are
+// dealt to workers by stride, each worker accumulates into a force buffer
+// of its own, and the buffers are summed in worker order, so the result
+// depends on the worker count only at rounding level.
 func (s *System) ComputeForces() {
 	s.cells.build(s.Pos, s.N)
-	for i := range s.Force {
-		s.Force[i] = 0
-	}
+	clear(s.Force)
 	workers := s.Cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -233,29 +205,49 @@ func (s *System) ComputeForces() {
 		workers = s.N
 	}
 	if workers <= 1 {
-		s.forceRange(0, s.N)
-		return
+		s.pairForces(0, 1, s.Force)
+	} else {
+		s.parallelPairForces(workers)
 	}
-	var wg sync.WaitGroup
-	chunk := (s.N + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > s.N {
-			hi = s.N
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			s.forceRange(lo, hi)
-		}(lo, hi)
+	// Walls at z = ±H/2: purely repulsive 12-6 on the wall distance.
+	for i := 0; i < s.N; i++ {
+		s.Force[3*i+2] += s.wallForce(s.Pos[3*i+2])
 	}
-	wg.Wait()
 }
 
-func (s *System) forceRange(lo, hi int) {
+// parallelPairForces runs pairForces on workers goroutines. Worker 0
+// accumulates straight into s.Force, every other worker into its own 3N
+// slice of s.workerForce, which is allocated once and reused by every
+// later call. It lives apart from ComputeForces so the goroutine
+// closure's captures do not escape on the serial path.
+func (s *System) parallelPairForces(workers int) {
+	n3 := 3 * s.N
+	if need := (workers - 1) * n3; len(s.workerForce) < need {
+		s.workerForce = make([]float64, need)
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			buf := s.workerForce[(w-1)*n3 : w*n3]
+			clear(buf)
+			s.pairForces(w, workers, buf)
+		}(w)
+	}
+	s.pairForces(0, workers, s.Force)
+	wg.Wait()
+	for w := 1; w < workers; w++ {
+		for k, f := range s.workerForce[(w-1)*n3 : w*n3] {
+			s.Force[k] += f
+		}
+	}
+}
+
+// pairForces adds into f the pair forces of every pair (i, j), j > i, for
+// the particles i = first, first+stride, ... Each such pair is evaluated
+// once and applied to both i and j.
+func (s *System) pairForces(first, stride int, f []float64) {
 	// Pair forces are capped at ±fCap (in f/r form): the standard guard
 	// against integration catastrophe in stiff strongly-coupled systems
 	// (LAMMPS-style soft capping). Overheating from an over-large dt then
@@ -263,61 +255,74 @@ func (s *System) forceRange(lo, hi int) {
 	// observable the MLautotuning experiment (E3) learns — instead of a
 	// numeric blowup.
 	const fCap = 1e4
+	c := s.cells
 	cut2 := s.Cfg.Cutoff * s.Cfg.Cutoff
 	d2 := s.P.D * s.P.D
+	wcaCut := 1.2599210498948732 * d2 // 2^(1/3) * D^2
 	lB := s.Cfg.Bjerrum
 	kappa := s.Kappa
-	for i := lo; i < hi; i++ {
-		xi, yi, zi := s.Pos[3*i], s.Pos[3*i+1], s.Pos[3*i+2]
+	pos := s.Pos
+	for i := first; i < s.N; i += stride {
+		xi, yi, zi := pos[3*i], pos[3*i+1], pos[3*i+2]
 		qi := s.Charge[i]
 		ki := s.Kind[i]
 		var fx, fy, fz float64
-		s.cells.neighborsOf(xi, yi, zi, func(j int) {
-			if j == i {
-				return
-			}
-			dx := xi - s.Pos[3*j]
-			dy := yi - s.Pos[3*j+1]
-			dz := zi - s.Pos[3*j+2]
-			dx, dy = s.minimumImage(dx, dy)
-			r2 := dx*dx + dy*dy + dz*dz
-			if r2 >= cut2 || r2 == 0 {
-				return
-			}
-			var fOverR float64
-			if ki == Solvent && s.Kind[j] == Solvent {
-				fOverR = s.kernel.ForceOverR(r2)
-			} else {
-				// WCA with ion diameter D: purely repulsive core.
-				wcaCut := 1.2599210498948732 * d2 // 2^(1/3) * D^2
-				if r2 < wcaCut {
-					inv2 := d2 / r2
-					inv6 := inv2 * inv2 * inv2
-					fOverR += 24 * (2*inv6*inv6 - inv6) / r2
+		cell := c.cell[i]
+		ix, iy, iz := cell%c.nx, (cell/c.nx)%c.ny, cell/(c.nx*c.ny)
+		xs, nxs := periodicNeighbors(ix, c.nx)
+		ys, nys := periodicNeighbors(iy, c.ny)
+		for jz := max(iz-1, 0); jz <= min(iz+1, c.nz-1); jz++ {
+			for _, jy := range ys[:nys] {
+				row := (jz*c.ny + jy) * c.nx
+				for _, jx := range xs[:nxs] {
+					// Chains run in descending index order, so the
+					// partners j > i are a prefix of each chain.
+					for j := c.heads[row+jx]; j > i; j = c.next[j] {
+						dx := xi - pos[3*j]
+						dy := yi - pos[3*j+1]
+						dz := zi - pos[3*j+2]
+						dx, dy = s.minimumImage(dx, dy)
+						r2 := dx*dx + dy*dy + dz*dz
+						if r2 >= cut2 || r2 == 0 {
+							continue
+						}
+						var fOverR float64
+						if ki == Solvent && s.Kind[j] == Solvent {
+							fOverR = s.kernel.ForceOverR(r2)
+						} else {
+							// WCA with ion diameter D: purely repulsive core.
+							if r2 < wcaCut {
+								inv2 := d2 / r2
+								inv6 := inv2 * inv2 * inv2
+								fOverR += 24 * (2*inv6*inv6 - inv6) / r2
+							}
+							// Screened Coulomb for charged pairs.
+							qj := s.Charge[j]
+							if qi != 0 && qj != 0 {
+								r := math.Sqrt(r2)
+								// U = lB*qi*qj*exp(-kappa r)/r
+								// f/r = lB*qi*qj*exp(-kappa r)*(1+kappa r)/r^3
+								fOverR += lB * qi * qj * math.Exp(-kappa*r) * (1 + kappa*r) / (r2 * r)
+							}
+						}
+						if fOverR > fCap {
+							fOverR = fCap
+						} else if fOverR < -fCap {
+							fOverR = -fCap
+						}
+						fx += fOverR * dx
+						fy += fOverR * dy
+						fz += fOverR * dz
+						f[3*j] -= fOverR * dx
+						f[3*j+1] -= fOverR * dy
+						f[3*j+2] -= fOverR * dz
+					}
 				}
-				// Screened Coulomb for charged pairs.
-				qj := s.Charge[j]
-				if qi != 0 && qj != 0 {
-					r := math.Sqrt(r2)
-					// U = lB*qi*qj*exp(-kappa r)/r
-					// f/r = lB*qi*qj*exp(-kappa r)*(1+kappa r)/r^3
-					fOverR += lB * qi * qj * math.Exp(-kappa*r) * (1 + kappa*r) / (r2 * r)
-				}
 			}
-			if fOverR > fCap {
-				fOverR = fCap
-			} else if fOverR < -fCap {
-				fOverR = -fCap
-			}
-			fx += fOverR * dx
-			fy += fOverR * dy
-			fz += fOverR * dz
-		})
-		// Walls at z = ±H/2: purely repulsive 12-6 on the wall distance.
-		fz += s.wallForce(zi)
-		s.Force[3*i] = fx
-		s.Force[3*i+1] = fy
-		s.Force[3*i+2] = fz
+		}
+		f[3*i] += fx
+		f[3*i+1] += fy
+		f[3*i+2] += fz
 	}
 }
 
@@ -326,7 +331,7 @@ func (s *System) forceRange(lo, hi int) {
 // contact offset of half an ion diameter.
 func (s *System) wallForce(z float64) float64 {
 	sigma := s.P.D / 2
-	wcaCut := sigma * math.Pow(2, 1.0/6)
+	wcaCut := sigma * wallCutFactor
 	f := 0.0
 	// Lower wall at -H/2.
 	if dzLo := z + s.P.H/2; dzLo < wcaCut {

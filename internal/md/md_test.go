@@ -216,20 +216,46 @@ func TestParallelForcesMatchSerial(t *testing.T) {
 	}
 }
 
+// TestCellListMatchesBruteForce checks the pair-once cell walk against an
+// all-pairs reference over 1, 2 and 3 cells per axis (L and H of 5, 8 and
+// 12 over a 3.5 cutoff): with fewer than 3 cells the wrapped stencil must
+// be deduplicated, or pairs would be counted twice or dropped. The 3-cell
+// case walks the full 27-cell stencil.
 func TestCellListMatchesBruteForce(t *testing.T) {
-	cfg := testConfig()
-	cfg.Workers = 1
-	s, err := NewSystem(testParams(), cfg)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct{ L, H float64 }{{5, 6}, {8, 8}, {12, 11}} {
+		for _, solvent := range []float64{0, 0.5} {
+			t.Run(fmt.Sprintf("L=%g/solvent=%g", tc.L, solvent), func(t *testing.T) {
+				cfg := testConfig()
+				cfg.L = tc.L
+				cfg.SolventFrac = solvent
+				cfg.Workers = 1
+				p := testParams()
+				p.H = tc.H
+				s, err := NewSystem(p, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := int(tc.L / cfg.Cutoff); s.cells.nx != want {
+					t.Fatalf("%d cells per periodic axis, want %d", s.cells.nx, want)
+				}
+				s.Steps(30)
+				s.ComputeForces()
+				want := bruteForceForces(s)
+				for i := range want {
+					if math.Abs(s.Force[i]-want[i]) > 1e-8 {
+						t.Fatalf("cell-list force mismatch at %d: %g vs %g", i, s.Force[i], want[i])
+					}
+				}
+			})
+		}
 	}
-	s.Steps(30)
-	s.ComputeForces()
-	got := make([]float64, len(s.Force))
-	copy(got, s.Force)
+}
 
-	// Brute-force recomputation with the same physics.
-	cut2 := cfg.Cutoff * cfg.Cutoff
+// bruteForceForces recomputes every force over all ordered pairs with the
+// same physics as ComputeForces, the solvent kernel and force cap included.
+func bruteForceForces(s *System) []float64 {
+	const fCap = 1e4
+	cut2 := s.Cfg.Cutoff * s.Cfg.Cutoff
 	d2 := s.P.D * s.P.D
 	want := make([]float64, len(s.Force))
 	for i := 0; i < s.N; i++ {
@@ -246,25 +272,85 @@ func TestCellListMatchesBruteForce(t *testing.T) {
 				continue
 			}
 			var fOverR float64
-			wcaCut := 1.2599210498948732 * d2
-			if r2 < wcaCut {
-				inv2 := d2 / r2
-				inv6 := inv2 * inv2 * inv2
-				fOverR += 24 * (2*inv6*inv6 - inv6) / r2
+			if s.Kind[i] == Solvent && s.Kind[j] == Solvent {
+				fOverR = ExactSolventKernel{}.ForceOverR(r2)
+			} else {
+				wcaCut := 1.2599210498948732 * d2
+				if r2 < wcaCut {
+					inv2 := d2 / r2
+					inv6 := inv2 * inv2 * inv2
+					fOverR += 24 * (2*inv6*inv6 - inv6) / r2
+				}
+				if s.Charge[i] != 0 && s.Charge[j] != 0 {
+					r := math.Sqrt(r2)
+					fOverR += s.Cfg.Bjerrum * s.Charge[i] * s.Charge[j] * math.Exp(-s.Kappa*r) * (1 + s.Kappa*r) / (r2 * r)
+				}
 			}
-			if s.Charge[i] != 0 && s.Charge[j] != 0 {
-				r := math.Sqrt(r2)
-				fOverR += s.Cfg.Bjerrum * s.Charge[i] * s.Charge[j] * math.Exp(-s.Kappa*r) * (1 + s.Kappa*r) / (r2 * r)
-			}
+			fOverR = math.Max(-fCap, math.Min(fCap, fOverR))
 			want[3*i] += fOverR * dx
 			want[3*i+1] += fOverR * dy
 			want[3*i+2] += fOverR * dz
 		}
 		want[3*i+2] += s.wallForce(s.Pos[3*i+2])
 	}
-	for i := range got {
-		if math.Abs(got[i]-want[i]) > 1e-8 {
-			t.Fatalf("cell-list force mismatch at %d: %g vs %g", i, got[i], want[i])
+	return want
+}
+
+// TestWrapMatchesMod checks wrap's fast path bit for bit against the
+// plain math.Mod wrapping it short-cuts, over the edges of every branch.
+func TestWrapMatchesMod(t *testing.T) {
+	ref := func(x, L float64) float64 {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return 0
+		}
+		x = math.Mod(x, L)
+		if x < 0 {
+			x += L
+		}
+		return x
+	}
+	for _, L := range []float64{8, 10, 12.3} {
+		xs := []float64{
+			0, math.Copysign(0, -1), L, -L, 2 * L, math.Nextafter(2*L, 0),
+			math.Nextafter(0, -1), math.Nextafter(L, 0), math.Nextafter(-L, 0),
+			1e6 * L, -1e6 * L, math.NaN(), math.Inf(1), math.Inf(-1),
+		}
+		for k := -40; k <= 40; k++ {
+			xs = append(xs, float64(k)*L/13+1e-3)
+		}
+		for _, x := range xs {
+			if got, want := wrap(x, L), ref(x, L); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("wrap(%g, %g) = %g (bits %#x), math.Mod path gives %g (bits %#x)",
+					x, L, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+	}
+}
+
+// TestStepAllocs pins Step's allocations: none on the serial path, and at
+// most the goroutine start-up at Workers=2. The per-worker force buffers
+// must be reused from step to step, not reallocated.
+func TestStepAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		workers int
+		max     float64
+	}{{1, 0}, {2, 5}} {
+		cfg := testConfig()
+		cfg.Workers = tc.workers
+		s, err := NewSystem(testParams(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Step()
+		buf := s.workerForce
+		if got := testing.AllocsPerRun(50, s.Step); got > tc.max {
+			t.Errorf("Workers=%d: Step allocates %g times, want <= %g", tc.workers, got, tc.max)
+		}
+		if len(s.workerForce) != (tc.workers-1)*3*s.N {
+			t.Errorf("Workers=%d: %d worker force values, want %d", tc.workers, len(s.workerForce), (tc.workers-1)*3*s.N)
+		}
+		if len(buf) > 0 && &buf[0] != &s.workerForce[0] {
+			t.Errorf("Workers=%d: worker force buffers reallocated between steps", tc.workers)
 		}
 	}
 }
@@ -533,6 +619,27 @@ func TestBlockingBeyondAutocorrelationTime(t *testing.T) {
 	tau := stats.IntegratedAutocorrTime(series)
 	if tau > 25 {
 		t.Fatalf("velocity autocorrelation time %g samples at 50-step stride", tau)
+	}
+}
+
+// BenchmarkRunSweepShape times one oracle run at the shape the sweep
+// workload of the end-to-end benchmark uses (L=8, one worker, 60+220
+// steps sampled every 5 into 16 bins) at the centre of its feature box.
+func BenchmarkRunSweepShape(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.L = 8
+	cfg.Workers = 1
+	rc := RunConfig{EquilSteps: 60, SampleSteps: 220, SampleEvery: 5, Bins: 16}
+	p := Params{H: 7, Zp: 2, Zn: 2, C: 0.07, D: 1}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s, err := NewSystem(p, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := s.Run(context.Background(), rc); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

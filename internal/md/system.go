@@ -8,10 +8,11 @@
 //
 // The simulation is self-contained: Langevin dynamics with velocity-Verlet
 // integration, WCA excluded volume, screened-Coulomb (Yukawa)
-// electrostatics, purely repulsive 12-6 walls, cell-list neighbor search
-// and a goroutine-parallel force loop. Reduced units are used throughout:
-// the unit length is the reference ion diameter, the unit energy is kT,
-// and the unit mass is the ion mass.
+// electrostatics, purely repulsive 12-6 walls, and a cell-list force loop
+// that evaluates each pair once and, with several workers, accumulates
+// into per-worker force buffers summed in a fixed order. Reduced units
+// are used throughout: the unit length is the reference ion diameter, the
+// unit energy is kT, and the unit mass is the ion mass.
 package md
 
 import (
@@ -117,6 +118,9 @@ type System struct {
 	cells   *cellList
 	kernel  PairKernel // solvent-solvent kernel (exact or surrogate)
 	stepNum int
+	// workerForce holds the force buffers of workers 1.. of the parallel
+	// force loop (worker 0 uses Force), 3N values each.
+	workerForce []float64
 }
 
 // NewSystem builds an electroneutral system of ions (plus optional neutral
@@ -265,7 +269,21 @@ func (s *System) minimumImage(dx, dy float64) (float64, float64) {
 // (math.Mod rather than repeated shifts, so a blown-up coordinate cannot
 // stall the step loop). Non-finite input maps to 0 — downstream
 // diagnostics (kinetic temperature) expose the blowup.
+//
+// A coordinate within one box of [0, L), which is where a timestep
+// leaves any particle that has not blown up, takes a fast path with
+// bit-identical results: math.Mod is the identity on (-L, L), and x−L is
+// exact on [L, 2L) by Sterbenz's lemma. x = -L is left to math.Mod,
+// which gives -0 there.
 func wrap(x, L float64) float64 {
+	switch {
+	case x >= 0 && x < L:
+		return x
+	case x >= L && x < 2*L:
+		return x - L
+	case x < 0 && x > -L:
+		return x + L
+	}
 	if math.IsNaN(x) || math.IsInf(x, 0) {
 		return 0
 	}
